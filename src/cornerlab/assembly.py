@@ -178,14 +178,3 @@ def assemble_halfline(sym, W):
             if 0 <= a < W:
                 blocks[(a, b_pos)] = blk
     return _build(blocks, region, sym.norb, KIND_HALFLINE)
-
-
-def dump_csv(op, path):
-    """Debug dump: dense row-major CSV with interleaved re/im columns."""
-    dense = op.dense()
-    n = dense.shape[1]
-    out = np.empty((dense.shape[0], 2 * n))
-    out[:, 0::2] = dense.real
-    out[:, 1::2] = dense.imag
-    header = ",".join(f"re{j},im{j}" for j in range(n))
-    np.savetxt(path, out, delimiter=",", header=header, comments="")

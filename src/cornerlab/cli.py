@@ -68,7 +68,7 @@ class RunConfig:
             raise ModelError(f"t-grid must be at least 4, got {self.t_grid}")
         if self.k_grid < 2:
             raise ModelError(f"k-grid must be at least 2, got {self.k_grid}")
-        if self.window is not None and self.window <= 0:
+        if self.window is not None and not self.window > 0:
             raise ModelError(f"window must be positive, got {self.window}")
         if not 0.0 < self.mask_threshold < 1.0:
             raise ModelError(

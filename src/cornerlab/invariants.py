@@ -444,7 +444,7 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None, mask=None,
         )
     if window is None:
         window = 0.45 * min_gap
-    if window <= 0 or min_gap <= 2 * window:
+    if not window > 0 or min_gap <= 2 * window:
         raise GapClosedError(
             f"edge gaps ({gap_a:.4f}, {gap_b:.4f}) do not clear twice the "
             f"tracking window {window:.4f}; corner family not certified Fredholm"
@@ -459,7 +459,7 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None, mask=None,
 
     def build(t):
         op = assembly.assemble_corner(sym, pair, L, t)
-        sl = spectra.diagonalize_window(op, window, k=24)
+        sl = spectra.diagonalize_window(op, window)
         sl = spectra.sharpen_degeneracies(sl, _corner_profile, matrix=op.matrix)
         if samples is not None:
             samples.append((t, sl.eigenvalues.copy(), spectra.all_weights(sl, mask)))

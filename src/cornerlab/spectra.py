@@ -19,7 +19,6 @@ from .errors import EigensolverError, TrackingError
 RESIDUAL_REL_TOL = 1e-8
 OVERLAP_MIN = 0.5
 DEGENERACY_CLUSTER_TOL = 1e-4
-_DENSE_CUTOFF = 600
 _BLOCK_SEED = 11
 _BLOCK_MAX_SWEEPS = 200
 
@@ -89,98 +88,78 @@ def _shift_factorize(csc, n):
     raise EigensolverError(f"sparse factorization failed: {last_exc}")
 
 
-def _block_window_pairs(matrix, window, k):
-    """Eigenpairs covering |lambda| <= window via blocked inverse iteration.
+def _count_below(csc, shift):
+    """Exact number of eigenvalues of the Hermitian ``csc`` below ``shift``.
 
-    A seeded random block of k vectors is driven by (A - sigma)^{-1} with
-    a Rayleigh-Ritz extraction every sweep.  The random block has full
-    projection onto every eigenspace, so multiplicities up to k come out
-    whole; single-vector Krylov solvers can lose directions of the exactly
-    degenerate clusters corner spectra produce, and can even return
-    near-parallel duplicate vectors for them.
-
-    The extraction diagonalizes the block compression of A^2 rather than
-    A.  Chiral-symmetric operators pair every eigenvector e with a partner
-    carrying -lambda, and the tail of the iterated block holds balanced
-    combinations of such pairs; those have A-Rayleigh quotient near zero
-    (squarely inside the window, residual of order the gap) but are exact
-    eigenvectors of A^2, so in the squared metric the tail sits at
-    mu ~ lambda_sea^2, far outside.  Under the tracking contract the
-    spectrum splits at the window, every eigenvalue inside 1.05 * window
-    or beyond twice the window, so mu <= (1.05 * window)^2 cleanly marks
-    the genuine near-zero states.  The sweep loop stops once, three
-    sweeps in a row, some squared Ritz interval clears window^2
-    (coverage) and every inside pair is converged with a stable value
-    set; signed eigenvalues then come from one small Rayleigh-Ritz with
-    A on the converged subspace.  Spectra that are not actually split at
-    the window stall out as EigensolverError instead of returning a
-    defective set.
+    SuperLU in symmetric mode with diagonal pivots only factors the
+    symmetrically permuted A - shift as L D L^H, D being the diagonal of U.
+    That is a congruence, so by Sylvester's law of inertia the negative
+    entries of D count the eigenvalues below the shift.  A row pivot off
+    the diagonal breaks the congruence and is refused rather than counted.
     """
+    shifted = csc - shift * sparse.identity(csc.shape[0], dtype=csc.dtype, format="csc")
+    try:
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise EigensolverError(f"inertia factorization at {shift:.6g} failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise EigensolverError(
+            f"inertia factorization at {shift:.6g} pivoted off the diagonal; no count")
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
+def diagonalize_window(op, window, k=None):
+    """Eigenpairs of every eigenvalue in [-1.05 * window, 1.05 * window].
+
+    Certificate: two symmetric-mode factorizations of A -+ 1.05 * window
+    give, by Sylvester's law of inertia, the exact number ``count`` of
+    eigenvalues in that interval.  An empty interval returns at once.
+    Otherwise a seeded random block of ``count + 8`` vectors is driven by
+    A^{-1} with a Rayleigh-Ritz step on A after every sweep, until exactly
+    ``count`` Ritz pairs inside the interval meet the residual contract.
+    The random block has full projection onto every eigenspace, so exact
+    degeneracies come out whole and orthonormal.
+
+    Refusals: a window that is not a positive finite number raises
+    ValueError; a factorization that fails or pivots off the diagonal, or
+    a block that has not converged to ``count`` pairs after
+    ``_BLOCK_MAX_SWEEPS`` sweeps, raises EigensolverError.
+
+    ``k`` is ignored; the block size follows from the count.
+    """
+    if not 0 < window < np.inf:
+        raise ValueError(f"window must be positive and finite, got {window}")
+    matrix = op.matrix
     n = matrix.shape[0]
+    csc = matrix.tocsc()
+    edge = 1.05 * window
+    count = _count_below(csc, edge) - _count_below(csc, -edge)
     norm_a = float(np.abs(matrix).sum(axis=1).max())
-    tol_sq = RESIDUAL_REL_TOL * max(norm_a * norm_a, 1e-300)
-    lu = _shift_factorize(matrix.tocsc(), n)
+    if count == 0:
+        return SpectralSlice(np.empty(0), np.empty((n, 0), dtype=complex), op.kind,
+                             t=op.t, k_edge=op.k_edge, region=op.region)
+    lu = _shift_factorize(csc, n)
+    size = min(count + 8, n)
     rng = np.random.default_rng(_BLOCK_SEED)
-    block = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    block, _ = np.linalg.qr(block)
-    lim_sq = (1.05 * window) ** 2
-    covered = False
-    streak = 0
-    prev_mu = None
-    for sweep in range(_BLOCK_MAX_SWEEPS):
+    block = rng.standard_normal((n, size)) + 1j * rng.standard_normal((n, size))
+    tol = RESIDUAL_REL_TOL * norm_a
+    for _ in range(_BLOCK_MAX_SWEEPS):
         block, _ = np.linalg.qr(lu.solve(block))
         ab = matrix @ block
-        gram = ab.conj().T @ ab
-        mu, rot = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-        y = block @ rot
-        ay = ab @ rot
-        r2 = np.linalg.norm(matrix @ ay - y * mu, axis=0)
-        inside = mu <= lim_sq
-        converged = inside & (r2 <= tol_sq)
-        covered = bool(np.any(mu - r2 >= window * window))
-        mu_c = mu[converged]
-        settled = (covered and bool(np.all(converged | ~inside))
-                   and prev_mu is not None and mu_c.size == prev_mu.size
-                   and np.allclose(mu_c, prev_mu, rtol=0.0, atol=10 * tol_sq))
-        streak = streak + 1 if settled else 0
-        prev_mu = mu_c.copy()
-        if streak >= 3 and sweep >= 11:
-            keep = np.flatnonzero(converged)
-            if keep.size == 0:
-                return np.empty(0), np.empty((n, 0), dtype=y.dtype), True
-            small = y[:, keep].conj().T @ ay[:, keep]
-            theta, basis = np.linalg.eigh(0.5 * (small + small.conj().T))
-            return theta, y[:, keep] @ basis, True
-        block = y
-    if not covered:
-        return np.empty(0), np.empty((n, 0), dtype=block.dtype), False
+        small = block.conj().T @ ab
+        theta, rot = np.linalg.eigh(0.5 * (small + small.conj().T))
+        block = block @ rot
+        resid = np.linalg.norm(ab @ rot - block * theta, axis=0)
+        keep = (np.abs(theta) <= edge) & (resid <= tol)
+        if np.count_nonzero(keep) == count:
+            vals, vecs = theta[keep], block[:, keep]
+            _check_residuals(matrix, vals, vecs, norm_a=norm_a)
+            return SpectralSlice(vals, vecs, op.kind, t=op.t, k_edge=op.k_edge,
+                                 region=op.region)
     raise EigensolverError(
-        f"window eigensolver failed to certify |lambda| <= {window:.3g} "
-        f"after {_BLOCK_MAX_SWEEPS} sweeps with block {k}")
-
-
-def diagonalize_window(op, window, k=32):
-    """Eigenpairs covering the window |lambda| <= window around zero.
-
-    Small operators fall back to the dense path (full spectrum).  Large
-    ones use blocked inverse iteration; the block is grown until the
-    computed set provably covers the window, and only pairs inside
-    1.05 * window are returned.
-    """
-    n = op.shape[0]
-    if n <= _DENSE_CUTOFF:
-        return diagonalize(op, want_vectors=True)
-    k = int(min(max(k, 8), n))
-    while True:
-        vals, vecs, covered = _block_window_pairs(op.matrix, window, k)
-        if covered:
-            break
-        if k >= n:
-            return diagonalize(op, want_vectors=True)
-        k = min(2 * k, n)
-    row_sums = np.abs(op.matrix).sum(axis=1)
-    _check_residuals(op.matrix, vals, vecs, norm_a=float(row_sums.max()))
-    return SpectralSlice(vals, vecs, op.kind, t=op.t, k_edge=op.k_edge, region=op.region)
+        f"window eigensolver did not converge to the {count} eigenpairs in "
+        f"|lambda| <= {edge:.3g} after {_BLOCK_MAX_SWEEPS} sweeps")
 
 
 def mask_vector(region, mask):
@@ -438,19 +417,3 @@ def crossings(track):
             found.append(Crossing(t=float(t_c), direction=+1 if v >= 0 else -1,
                                   weight=w_c, branch=b_idx))
     return sorted(found, key=lambda c: (c.t, c.branch))
-
-
-def slices_to_csv(slices, path, mask=None):
-    """Export slices as CSV rows: t, k_edge, eigenvalue, localization_weight."""
-    lines = ["t,k_edge,eigenvalue,localization_weight"]
-    for sl in slices:
-        weights = None
-        if mask is not None and sl.eigenvectors is not None and sl.region is not None:
-            weights = all_weights(sl, mask)
-        for i, val in enumerate(sl.eigenvalues):
-            t_txt = "" if sl.t is None else f"{sl.t:.17g}"
-            k_txt = "" if sl.k_edge is None else f"{sl.k_edge:.17g}"
-            w_txt = "" if weights is None else f"{weights[i]:.17g}"
-            lines.append(f"{t_txt},{k_txt},{val:.17g},{w_txt}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -121,7 +121,7 @@ def corner_state_near_zero(sym, pair, L, t, window, threshold=0.6):
     from cornerlab import assembly, spectra
 
     op = assembly.assemble_corner(sym, pair, L, t)
-    sl = spectra.diagonalize_window(op, window, k=24)
+    sl = spectra.diagonalize_window(op, window)
     sl = spectra.sharpen_degeneracies(
         sl, lambda s: np.exp(-(abs(s[0]) + 1.618 * abs(s[1])) / 4.0),
         matrix=op.matrix)

@@ -9,7 +9,6 @@ from cornerlab.assembly import (
     assemble_corner,
     assemble_edge_strip,
     assemble_halfline,
-    dump_csv,
 )
 from cornerlab.geometry import Slope, SlopePair
 from cornerlab.symbol import builtin_models, chiral_shift_model, partial_bloch, qwz_model
@@ -144,12 +143,3 @@ def test_edge_strip_validation():
     with pytest.raises(ModelError):
         assemble_edge_strip(chiral_shift_model()[0], Slope.rational(0, 1),
                             "alpha", 10, 0.0)
-
-
-def test_dump_csv_roundtrip(tmp_path):
-    op = assemble_halfline(chiral_shift_model(1)[0], 5)
-    path = tmp_path / "op.csv"
-    dump_csv(op, path)
-    raw = np.loadtxt(path, delimiter=",", skiprows=1)
-    rebuilt = raw[:, 0::2] + 1j * raw[:, 1::2]
-    assert np.allclose(rebuilt, op.dense(), atol=1e-15)

@@ -111,6 +111,10 @@ def test_config_validation_exits_2():
     assert run("corner-flow", "--builtin", "product_example",
                "--mask-threshold", "1.5") == 2
     assert run("edge-gap", "--builtin", "product_example", "--t-grid", "2") == 2
+    assert run("corner-flow", "--builtin", "product_example", "--L", "12",
+               "--t-grid", "8", "--window", "nan") == 2
+    assert run("corner-flow", "--builtin", "product_example", "--L", "12",
+               "--t-grid", "8", "--window", "inf") == 4
 
 
 def test_verify_product_requires_grading(capsys):

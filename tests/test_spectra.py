@@ -13,7 +13,6 @@ from cornerlab.spectra import (
     diagonalize_window,
     localization_weight,
     sharpen_degeneracies,
-    slices_to_csv,
     track_branches,
 )
 
@@ -75,25 +74,63 @@ def test_window_solver_matches_dense_at_degenerate_crossing():
     assert np.max(np.abs(gram - np.eye(sl.eigenvalues.size))) < 1e-10
 
 
-def test_window_solver_empty_window():
+@pytest.mark.parametrize("L", [10, 18])
+def test_window_solver_empty_window(L):
     op = assembly.assemble_corner(
         symbol.builtin_models()["onsite_gapped"].symbol,
         geometry.SlopePair(geometry.Slope.rational(0, 1), geometry.Slope.plus_inf()),
-        18, 1.0)
-    assert op.shape[0] > 600
+        L, 1.0)
     sl = diagonalize_window(op, 0.45)
     assert sl.eigenvalues.size == 0
 
 
-def test_window_solver_dense_fallback_below_cutoff():
-    op = assembly.assemble_corner(
-        symbol.builtin_models()["onsite_gapped"].symbol,
-        geometry.SlopePair(geometry.Slope.rational(0, 1), geometry.Slope.plus_inf()),
-        10, 1.0)
-    assert op.shape[0] <= 600
-    sl = diagonalize_window(op, 0.45)
-    assert sl.eigenvalues.size == op.shape[0]
-    assert np.allclose(np.abs(sl.eigenvalues), 1.0, atol=1e-12)
+def _block_diagonal_op(eigenvalues, seed):
+    """Sparse Hermitian operator of randomly rotated 2x2 blocks with given spectrum."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for pair in rng.permutation(eigenvalues).reshape(-1, 2):
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        blocks.append(q @ np.diag(pair) @ q.conj().T)
+    h = sp.block_diag(blocks, format="csr")
+    return assembly.AssembledOperator(0.5 * (h + h.conj().T), "test")
+
+
+@pytest.mark.parametrize("n", [40, 200, 720])
+@pytest.mark.parametrize("on_shift", [False, True])
+def test_window_solver_inertia_count(n, on_shift):
+    """Exact count and full coverage, with eigenvalues at and next to the shifts.
+
+    Eigenvalues: a 4-fold pair at +-0.2, +-1.04w and +-1.06w just inside
+    and outside the counting shifts 1.05w, optionally +-1.05w(1 -+ 1e-9)
+    right on them, and the rest spread over +-[1, 3].
+    """
+    w = 0.45
+    special = [0.2] * 4 + [-0.2] * 4 + [1.04 * w, -1.04 * w, 1.06 * w, -1.06 * w]
+    if on_shift:
+        special += [s * 1.05 * w * (1 + d) for s in (1, -1) for d in (1e-9, -1e-9)]
+    rng = np.random.default_rng(n)
+    rest = rng.uniform(1.0, 3.0, n - len(special)) * rng.choice([-1.0, 1.0], n - len(special))
+    eigenvalues = np.concatenate([special, rest])
+    op = _block_diagonal_op(eigenvalues, seed=n)
+
+    sl = diagonalize_window(op, w)
+
+    dense = np.linalg.eigvalsh(op.dense())
+    inside = np.sort(dense[np.abs(dense) <= w])
+    got = sl.eigenvalues[np.abs(sl.eigenvalues) <= w]
+    assert got.size == inside.size
+    assert np.allclose(got, inside, atol=1e-9)
+    gram = sl.eigenvectors.conj().T @ sl.eigenvectors
+    assert np.max(np.abs(gram - np.eye(sl.eigenvalues.size))) < 1e-10
+    if not on_shift:
+        assert sl.eigenvalues.size == np.count_nonzero(np.abs(dense) <= 1.05 * w)
+
+
+@pytest.mark.parametrize("window", [float("nan"), -0.45, 0.0, float("inf")])
+def test_window_solver_rejects_bad_window(window):
+    op = _block_diagonal_op([0.1, -0.1, 2.0, -2.0], seed=0)
+    with pytest.raises(ValueError, match="window"):
+        diagonalize_window(op, window)
 
 
 def test_localization_weights():
@@ -208,19 +245,3 @@ def test_tracking_refinement_resolves_fast_rotation():
     track = track_branches(slices, window=0.5, refine_fn=make)
     assert len(crossings(track)) == 0
     assert sum(len(b.points) for b in track.branches) == 3
-
-
-def test_slices_to_csv(tmp_path):
-    region = geometry.LatticeRegion([(0, 0), (3, 0)], 1)
-    sl = SpectralSlice(np.array([-0.25, 0.5]), np.eye(2, dtype=complex),
-                       "test", t=0.1, region=region)
-    path = tmp_path / "slices.csv"
-    slices_to_csv([sl, sl], path, mask=lambda s: s[0] == 0)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,k_edge,eigenvalue,localization_weight"
-    assert len(lines) == 5
-    t_txt, k_txt, val_txt, w_txt = lines[1].split(",")
-    assert float(t_txt) == pytest.approx(0.1)
-    assert k_txt == ""
-    assert float(val_txt) == pytest.approx(-0.25)
-    assert float(w_txt) == pytest.approx(1.0)

@@ -238,12 +238,9 @@ def cmd_bulk_spectrum(cfg):
     if not 0 <= axis < sym.dim:
         raise ModelError(f"sweep axis {axis} out of range for dim {sym.dim}")
     angles = np.linspace(0.0, 2 * np.pi, cfg.t_grid + 1)
-    bands = []
-    for a in angles:
-        k = [0.0] * sym.dim
-        k[axis] = a
-        bands.append(np.linalg.eigvalsh(symbol.evaluate_bloch(sym, k)))
-    bands = np.array(bands)
+    k = np.zeros((angles.size, sym.dim))
+    k[:, axis] = angles
+    bands = np.linalg.eigvalsh(symbol.evaluate_bloch(sym, k))
     os.makedirs(cfg.out, exist_ok=True)
     csv_path = os.path.join(cfg.out, "bulk_spectrum.csv")
     with open(csv_path, "w") as fh:

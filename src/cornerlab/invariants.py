@@ -37,41 +37,54 @@ class _RefineNeeded(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Chern number by the lattice field-strength method
+# Bloch grids; Chern number by the lattice field-strength method
 
-def _occupied_frame(h, where):
-    vals, vecs = np.linalg.eigh(h)
-    gap = float(np.min(np.abs(vals)))
-    if gap <= GAP_FLOOR:
-        raise GapClosedError(f"Bloch gap at 0 closes ({gap:.2e}) at {where}")
-    return vecs[:, vals < 0]
+def _bloch_grid(sym, axes, n):
+    """Momenta and Bloch matrices on the n-point grid of ``axes``, in C order.
 
-
-def _c1_field_strength(bloch_at, n):
-    """Berry flux sum of the Fermi projection over an n x n grid.
-
-    ``bloch_at(kx, ky)`` returns the Bloch matrix.  Plaquette fluxes are
-    principal-branch logs of the four-link Wilson loop; their sum over
-    the whole grid divided by 2 pi is exactly integral whenever every
-    plaquette is admissible (|flux| < pi), which is what makes this a
-    reliable integer pipeline rather than a quadrature.
+    The remaining axes sit at 0.  Returns ``k`` of shape
+    ``(n, ..., n, dim)`` and the matching ``(n, ..., n, norb, norb)`` stack.
     """
     ks = 2 * np.pi * np.arange(n) / n
-    frames = [
-        [_occupied_frame(bloch_at(ks[i], ks[j]), f"k=({ks[i]:.3f},{ks[j]:.3f})")
-         for j in range(n)]
-        for i in range(n)
-    ]
-    ranks = {f.shape[1] for row in frames for f in row}
-    if len(ranks) != 1:
+    k = np.zeros((n,) * len(axes) + (sym.dim,))
+    grids = np.meshgrid(*([ks] * len(axes)), indexing="ij")
+    k[..., list(axes)] = np.stack(grids, axis=-1)
+    return k, evaluate_bloch(sym, k)
+
+
+def _check_gap(gaps, k):
+    """Refuse at the first grid point, in C order, where the gap closes."""
+    closed = gaps <= GAP_FLOOR
+    if np.any(closed):
+        at = np.unravel_index(np.argmax(closed), closed.shape)
+        where = ",".join(f"{c:.3f}" for c in k[at])
+        raise GapClosedError(f"Bloch gap at 0 closes ({gaps[at]:.2e}) at k=({where})")
+
+
+def _fermi_rank(vals, k):
+    """Number of Bloch bands below 0, refused unless it is constant on the grid."""
+    _check_gap(np.min(np.abs(vals), axis=-1), k)
+    ranks = np.sum(vals < 0, axis=-1)
+    if np.any(ranks != ranks.flat[0]):
         raise GapClosedError("Fermi rank is not constant across the grid")
-    ux = np.empty((n, n), dtype=complex)
-    uy = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            f = frames[i][j]
-            ux[i, j] = np.linalg.det(f.conj().T @ frames[(i + 1) % n][j])
-            uy[i, j] = np.linalg.det(f.conj().T @ frames[i][(j + 1) % n])
+    return int(ranks.flat[0])
+
+
+def _c1_field_strength(sym, axes, n):
+    """Berry flux sum of the Fermi projection over an n x n grid of ``axes``.
+
+    Plaquette fluxes are principal-branch logs of the four-link Wilson
+    loop; their sum over the whole grid divided by 2 pi is exactly
+    integral whenever every plaquette is admissible (|flux| < pi), which
+    is what makes this a reliable integer pipeline rather than a
+    quadrature.
+    """
+    k, h = _bloch_grid(sym, axes, n)
+    vals, vecs = np.linalg.eigh(h)
+    frames = vecs[..., : _fermi_rank(vals, k)]
+    adjoint = frames.conj().swapaxes(-1, -2)
+    ux = np.linalg.det(adjoint @ np.roll(frames, -1, axis=0))
+    uy = np.linalg.det(adjoint @ np.roll(frames, -1, axis=1))
     if min(np.min(np.abs(ux)), np.min(np.abs(uy))) < _LINK_FLOOR:
         raise _RefineNeeded("near-singular link variable")
     # Plaquettes are traversed second-axis-first; this is the orientation
@@ -84,12 +97,12 @@ def _c1_field_strength(bloch_at, n):
     return float(np.sum(flux) / (2 * np.pi))
 
 
-def _c1_int(bloch_at, n, what):
+def _c1_int(sym, axes, n, what):
     """Field-strength c1 with integrality certificate; auto-refines once."""
     reason = None
     for m in (n, 2 * n):
         try:
-            total = _c1_field_strength(bloch_at, m)
+            total = _c1_field_strength(sym, axes, m)
         except _RefineNeeded as exc:
             reason = str(exc)
             continue
@@ -103,7 +116,7 @@ def _c1_int(bloch_at, n, what):
 def _chern_detail(sym, grid):
     if sym.dim != 2:
         raise ModelError(f"Chern number needs a dim-2 symbol, got dim {sym.dim}")
-    return _c1_int(lambda kx, ky: evaluate_bloch(sym, (kx, ky)), grid, "Chern number")
+    return _c1_int(sym, (0, 1), grid, "Chern number")
 
 
 def chern_number(sym, grid=40):
@@ -144,15 +157,10 @@ def _winding_detail(sym, grading, grid):
     u, n_plus = _grading_frame(sym, grading)
     reason = None
     for m in (grid, 2 * grid):
-        ks = 2 * np.pi * np.arange(m) / m
-        dets = np.empty(m, dtype=complex)
-        for j, k in enumerate(ks):
-            h = u.conj().T @ evaluate_bloch(sym, (k,)) @ u
-            q = h[:n_plus, n_plus:]
-            smin = np.linalg.svd(q, compute_uv=False)[-1]
-            if smin <= GAP_FLOOR:
-                raise GapClosedError(f"Bloch gap at 0 closes ({smin:.2e}) at k={k:.3f}")
-            dets[j] = np.linalg.det(q)
+        k, h = _bloch_grid(sym, (0,), m)
+        q = (u.conj().T @ h @ u)[:, :n_plus, n_plus:]
+        _check_gap(np.linalg.svd(q, compute_uv=False)[:, -1], k)
+        dets = np.linalg.det(q)
         steps = np.angle(np.roll(dets, -1) / dets)
         if np.max(np.abs(steps)) >= _FLUX_CEILING:
             reason = "phase step too large"
@@ -180,14 +188,8 @@ def winding_number(sym, grading, grid=256):
 
 def _bulk_gap_on_grid(sym, n):
     """Smallest |eigenvalue| of the Bloch matrix over a full n^dim mesh."""
-    ks = 2 * np.pi * np.arange(n) / n
-    grids = np.meshgrid(*([ks] * sym.dim), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    gap = math.inf
-    for k in points:
-        vals = np.linalg.eigvalsh(evaluate_bloch(sym, k))
-        gap = min(gap, float(np.min(np.abs(vals))))
-    return gap
+    _, h = _bloch_grid(sym, range(sym.dim), n)
+    return float(np.min(np.abs(np.linalg.eigvalsh(h))))
 
 
 def _halfline_kernel_states(sym, grading, W):
@@ -532,30 +534,15 @@ def weak_invariants(sym, grid=20):
     """
     if sym.dim != 3:
         raise ModelError(f"weak invariants need a dim-3 symbol, got dim {sym.dim}")
-    out = []
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        def bloch_at(x, y, a=a, b=b):
-            k = [0.0, 0.0, 0.0]
-            k[a], k[b] = x, y
-            return evaluate_bloch(sym, k)
-
-        value, _, _ = _c1_int(bloch_at, grid, f"weak invariant on axes ({a},{b})")
-        out.append(value)
-    return tuple(out)
+    return tuple(
+        _c1_int(sym, (a, b), grid, f"weak invariant on axes ({a},{b})")[0]
+        for a, b in ((0, 1), (0, 2), (1, 2))
+    )
 
 
 def _negative_band_count(sym, n=12):
-    counts = set()
-    ks = 2 * np.pi * np.arange(n) / n
-    for kx in ks:
-        for ky in ks:
-            vals = np.linalg.eigvalsh(evaluate_bloch(sym, (kx, ky)))
-            if np.min(np.abs(vals)) <= GAP_FLOOR:
-                raise GapClosedError(f"Bloch gap closes at k=({kx:.3f},{ky:.3f})")
-            counts.add(int(np.sum(vals < 0)))
-    if len(counts) != 1:
-        raise GapClosedError("negative band count varies across the zone")
-    return counts.pop()
+    k, h = _bloch_grid(sym, (0, 1), n)
+    return _fermi_rank(np.linalg.eigvalsh(h), k)
 
 
 def bulk_edge_pair(h1, h2, grading):

@@ -165,20 +165,25 @@ class ChiralGrading:
 
 
 def evaluate_bloch(sym, k):
-    """Bloch matrix H(k) = sum_r h_r exp(i <r, k>).
+    """Bloch matrices H(k) = sum_r h_r exp(i <r, k>) for a batch of momenta.
 
-    The result is Hermitian by the symbol invariant; it is checked to
-    1e-12 and symmetrized exactly before returning.
+    ``k`` has shape ``(dim,)`` for one momentum or ``(..., dim)`` for a
+    batch; the result has shape ``(..., norb, norb)``.  Every matrix is
+    Hermitian by the symbol invariant; the batch is checked to 1e-12 and
+    symmetrized exactly before returning.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    if k.shape != (sym.dim,):
+    if k.shape[-1] != sym.dim:
         raise ValueError(f"momentum has shape {k.shape}, symbol has dim {sym.dim}")
-    out = np.zeros((sym.norb, sym.norb), dtype=complex)
-    for off, blk in sym.hoppings.items():
-        out += blk * np.exp(1j * float(np.dot(off, k)))
-    if np.max(np.abs(out - out.conj().T)) > HERMITICITY_TOL:
+    hoppings = sym.hoppings
+    offsets = np.array(list(hoppings), dtype=float).reshape(-1, sym.dim)
+    blocks = np.array(list(hoppings.values()), dtype=complex).reshape(
+        -1, sym.norb, sym.norb)
+    out = np.einsum("...r,rij->...ij", np.exp(1j * (k @ offsets.T)), blocks)
+    adjoint = out.conj().swapaxes(-1, -2)
+    if np.max(np.abs(out - adjoint)) > HERMITICITY_TOL:
         raise ModelError("Bloch matrix failed the Hermiticity check")
-    return 0.5 * (out + out.conj().T)
+    return 0.5 * (out + adjoint)
 
 
 def partial_bloch(sym, axis, angle):
@@ -370,7 +375,10 @@ def _encode_block(blk):
 
 
 def _decode_block(raw, norb, where):
-    arr = np.asarray(raw, dtype=float)
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"{where}: block is not a numeric array ({exc})") from exc
     if arr.shape != (norb, norb, 2):
         raise ModelError(f"{where}: expected shape ({norb}, {norb}, 2), got {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -415,17 +423,21 @@ def load_model(path):
     try:
         dim = int(doc["dim"])
         norb = int(doc["norb"])
-        raw_hoppings = doc["hoppings"]
-    except (KeyError, TypeError) as exc:
-        raise ModelError(f"{path}: missing required key {exc}") from exc
+        raw_hoppings = list(doc["hoppings"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"{path}: missing or malformed required key ({exc!r})") from exc
     hoppings = {}
     for entry in raw_hoppings:
-        off = tuple(int(c) for c in entry["offset"])
+        try:
+            off = tuple(int(c) for c in entry["offset"])
+            raw_block = entry["block"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelError(f"{path}: malformed hoppings entry ({exc!r})") from exc
         if len(off) != dim:
             raise ModelError(f"{path}: offset {off} has wrong length for dim {dim}")
         if off in hoppings:
             raise ModelError(f"{path}: duplicate offset {off}")
-        hoppings[off] = _decode_block(entry["block"], norb, f"{path}: offset {off}")
+        hoppings[off] = _decode_block(raw_block, norb, f"{path}: offset {off}")
     for off in list(hoppings):
         minus = tuple(-c for c in off)
         if minus not in hoppings:

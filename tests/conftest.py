@@ -7,9 +7,16 @@ collection), which is also where the recorded wall times are checked
 against the runtime budgets.
 """
 
+import os
 import time
 
-import numpy as np
+# One BLAS thread, set before numpy loads: the many small factorizations
+# in a corner flow contend rather than gain from threads, and the
+# acceptance wall-time budgets should measure the algorithm.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 import cornerlab as cl

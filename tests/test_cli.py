@@ -92,9 +92,14 @@ def test_corner_flow_gapless_edge_exits_4(tmp_path, capsys):
     assert not (tmp_path / "corner_flow.json").exists()
 
 
-def test_unknown_model_exits_2(capsys):
+def test_unknown_model_exits_2(tmp_path, capsys):
     code = run("edge-gap", "--builtin", "no_such_model")
     assert code == 2
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"]["type"] == "ModelError"
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 1, "norb": 1, "hoppings": [{"block": [[[1, 0]]]}]}')
+    assert run("bulk-spectrum", "--model", str(bad), "--out", str(tmp_path)) == 2
     err = json.loads(capsys.readouterr().out.strip())
     assert err["error"]["type"] == "ModelError"
 

@@ -70,6 +70,8 @@ def test_kernel_signature_rejects_gapless():
     })
     with pytest.raises(GapClosedError):
         cl.kernel_signature(sym, ChiralGrading(sz))
+    with pytest.raises(GapClosedError, match=r"k=\(3\.142\)"):
+        cl.winding_number(sym, ChiralGrading(sz))
 
 
 def test_edge_flow_is_minus_chern():
@@ -125,6 +127,9 @@ def test_weak_invariants_values(models):
     assert cl.weak_invariants(models["h1_stacked"].symbol) == (0, 0, 1)
     with pytest.raises(ModelError):
         cl.weak_invariants(qwz_model(-1.0))
+    # QWZ at mass -2 closes at the origin, the first grid point visited.
+    with pytest.raises(GapClosedError, match=r"k=\(0\.000,0\.000,0\.000\)"):
+        cl.weak_invariants(symbol.extend_trivially(qwz_model(-2.0)))
 
 
 def test_weak_slot_matches_planted_factor():

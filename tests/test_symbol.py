@@ -1,5 +1,7 @@
 """Symbol layer: validation, Bloch evaluation, products, model files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -66,11 +68,20 @@ def test_evaluate_bloch_matches_explicit_sum():
         got = evaluate_bloch(sym, k)
         assert np.allclose(got, want, atol=1e-13)
         assert np.max(np.abs(got - got.conj().T)) <= 1e-13
+    grid = rng.uniform(-np.pi, np.pi, size=(5, 3, 2))
+    batch = evaluate_bloch(sym, grid)
+    assert batch.shape == (5, 3, 2, 2)
+    for i, j in np.ndindex(5, 3):
+        want = sum(blk * np.exp(1j * np.dot(off, grid[i, j]))
+                   for off, blk in sym.hoppings.items())
+        assert np.max(np.abs(batch[i, j] - want)) <= 1e-13
 
 
 def test_evaluate_bloch_shape_check():
     with pytest.raises(ValueError):
         evaluate_bloch(qwz_model(-1.0), [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError):
+        evaluate_bloch(qwz_model(-1.0), np.zeros((4, 3)))
 
 
 def test_partial_bloch_consistent_with_full_evaluation():
@@ -212,6 +223,19 @@ def test_load_model_rejects_garbage(tmp_path):
     bad.write_text('{"dim": 2}')
     with pytest.raises(ModelError):
         load_model(bad)
+    block = [[[1.0, 0.0]]]
+    for doc in (
+        {"dim": 1, "norb": 1, "hoppings": [{"block": block}]},
+        {"dim": "abc", "norb": 1, "hoppings": []},
+        {"dim": 1, "norb": 1, "hoppings": [{"offset": ["x"], "block": block}]},
+        {"dim": 1, "norb": 2, "hoppings": [
+            {"offset": [0], "block": [[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}]},
+        {"dim": 1, "norb": 1, "hoppings": [[0]]},
+        {"dim": 1, "norb": 1, "hoppings": 5},
+    ):
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ModelError):
+            load_model(bad)
 
 
 def test_builtin_catalog():

@@ -2,7 +2,7 @@
 
 Real-space convention: the matrix entry coupling row site x to column
 site y is the hopping block ``h_{x-y}``, with the third (parameter) axis
-folded by the phase ``exp(i l t)`` beforehand.  This is the unique choice
+folded by the phase ``exp(-i l t)`` beforehand.  This is the unique choice
 consistent with the Bloch convention ``H(k) = sum_r h_r exp(i <r, k>)``:
 plane waves ``exp(-i k x)`` then diagonalize the bulk operator with
 eigenvalue matrix H(k).  Truncations are Dirichlet (hops leaving the
@@ -53,14 +53,6 @@ class AssembledOperator:
         return self.matrix.toarray()
 
 
-def _geometric_range(sym):
-    """Max hopping extent over the lattice axes (axes 1-2 of a dim-3 symbol)."""
-    n_axes = min(sym.dim, 2)
-    if not sym.hoppings:
-        return 0
-    return max(max(abs(off[ax]) for ax in range(n_axes)) for off in sym.hoppings)
-
-
 def _fold_parameter_axis(sym, t):
     """Reduce a dim-3 symbol to dim-2 blocks at parameter t (identity for dim 2).
 
@@ -75,22 +67,28 @@ def _fold_parameter_axis(sym, t):
     return sym
 
 
-def _build(blocks, region, norb, kind, t=None, k_edge=None):
-    """Assemble a CSR matrix from per-(row, col) site block contributions."""
-    dof = region.dof
-    data, rows, cols = [], [], []
+def _build(hoppings, region, kind, place=None, t=None, k_edge=None):
+    """Assemble a CSR matrix from 2-D hoppings over all region sites at once.
+
+    Every region site is displaced by every hopping offset in one array
+    operation; ``place(targets)`` maps the ``(n_hops, n_sites, 2)`` targets
+    to row positions (-1 drops the hop) and phases (None for all 1).  With
+    no place rule, hops are truncated to the region (Dirichlet).  Hops that
+    land on the same entry are summed.
+    """
+    norb = region.norb
+    offsets = np.array(list(hoppings), dtype=np.int64).reshape(-1, 1, 2)
+    blocks = np.array(list(hoppings.values()), dtype=complex).reshape(-1, norb * norb)
+    targets = np.array(region.sites, dtype=np.int64) + offsets
+    pos, phase = (region.site_position(targets), None) if place is None else place(targets)
+    hop, col = np.nonzero(pos >= 0)
+    values = blocks[hop] if phase is None else blocks[hop] * phase[hop, col, None]
     orb_row, orb_col = np.divmod(np.arange(norb * norb), norb)
-    for (a_pos, b_pos), blk in blocks.items():
-        rows.append(a_pos * norb + orb_row)
-        cols.append(b_pos * norb + orb_col)
-        data.append(np.asarray(blk).ravel())
-    if data:
-        mat = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dof, dof),
-        ).tocsr()
-    else:
-        mat = sp.csr_matrix((dof, dof), dtype=complex)
+    rows = pos[hop, col, None] * norb + orb_row
+    cols = col[:, None] * norb + orb_col
+    mat = sp.coo_matrix(
+        (values.ravel(), (rows.ravel(), cols.ravel())), shape=(region.dof, region.dof)
+    ).tocsr()
     return AssembledOperator(mat, kind, region=region, t=t, k_edge=k_edge)
 
 
@@ -106,24 +104,17 @@ def assemble_corner(sym, pair, L, t):
     """Corner compression on the wedge of ``pair`` inside the max-norm ball L.
 
     The parameter axis is folded at ``t``; within the wedge the entry from
-    column site b to row site a is ``sum_l h_{(a-b, l)} exp(i l t)``, and
+    column site b to row site a is ``sum_l h_{(a-b, l)} exp(-i l t)``, and
     hops leaving the wedge or the ball are dropped (Dirichlet).
     """
     if sym.dim != 3:
         raise ModelError(f"corner assembly expects a dim-3 symbol, got dim {sym.dim}")
-    rng = _geometric_range(sym)
+    rng = max(sym.hopping_range()[:2])
     if rng > L:
         raise GeometryError(f"hopping range {rng} exceeds corner size L={L}")
     folded = _fold_parameter_axis(sym, t)
     region = geometry.wedge_region(pair, L, sym.norb)
-    blocks = {}
-    for b_pos, b in enumerate(region.sites):
-        for (dm, dn), blk in folded.hoppings.items():
-            a_pos = region.site_position((b[0] + dm, b[1] + dn))
-            if a_pos is None:
-                continue
-            blocks[(a_pos, b_pos)] = blk
-    return _build(blocks, region, sym.norb, KIND_CORNER, t=float(t))
+    return _build(folded.hoppings, region, KIND_CORNER, t=float(t))
 
 
 def assemble_edge_strip(sym, slope, which, W, k_edge, t=None):
@@ -138,27 +129,25 @@ def assemble_edge_strip(sym, slope, which, W, k_edge, t=None):
         raise ModelError(f"edge strip expects a dim-2 or dim-3 symbol, got dim {sym.dim}")
     if sym.dim == 3 and t is None:
         raise ModelError("dim-3 symbol needs a parameter value t")
-    rng = _geometric_range(sym)
+    rng = max(sym.hopping_range()[:2])
     if W <= rng:
         raise GeometryError(f"W={W} must exceed the hopping range {rng}")
-    folded = _fold_parameter_axis(sym, t if t is not None else 0.0)
+    folded = _fold_parameter_axis(sym, t)
     region, _ = geometry.strip_region(slope, which, W, sym.norb)
     kind = KIND_EDGE_ALPHA if which == geometry.ALPHA else KIND_EDGE_BETA
-    blocks = {}
-    for b_pos, b in enumerate(region.sites):
-        for (dm, dn), blk in folded.hoppings.items():
-            x = (b[0] + dm, b[1] + dn)
-            if not 0 <= geometry.strip_depth(slope, which, x) < W:
-                continue
-            rep, j = geometry.reduce_to_supercell(slope, x)
-            a_pos = region.site_position(rep)
-            if a_pos is None:
-                raise GeometryError(f"supercell reduction failed for site {x}")
-            contrib = blk * np.exp(1j * k_edge * j)
-            key = (a_pos, b_pos)
-            blocks[key] = blocks.get(key, 0) + contrib
+
+    def place(targets):
+        depth = geometry.strip_depth(slope, which, targets)
+        rep, j = geometry.reduce_to_supercell(slope, targets)
+        pos = region.site_position(rep)
+        inside = (depth >= 0) & (depth < W)
+        lost = targets[inside & (pos < 0)]
+        if lost.size:
+            raise GeometryError(f"supercell reduction failed for site {tuple(lost[0].tolist())}")
+        return np.where(inside, pos, -1), np.exp(1j * k_edge * j)
+
     return _build(
-        blocks, region, sym.norb, kind,
+        folded.hoppings, region, kind, place,
         t=None if t is None else float(t), k_edge=float(k_edge),
     )
 
@@ -170,11 +159,7 @@ def assemble_halfline(sym, W):
     rng = sym.hopping_range()[0]
     if W <= rng:
         raise GeometryError(f"W={W} must exceed the hopping range {rng}")
-    region = geometry.LatticeRegion([(n, 0) for n in range(W)], sym.norb)
-    blocks = {}
-    for b_pos, b in enumerate(region.sites):
-        for (dn,), blk in sym.hoppings.items():
-            a = b[0] + dn
-            if 0 <= a < W:
-                blocks[(a, b_pos)] = blk
-    return _build(blocks, region, sym.norb, KIND_HALFLINE)
+    region = geometry.LatticeRegion(
+        np.column_stack((np.arange(W), np.zeros(W, dtype=int))), sym.norb)
+    hoppings = {(dn, 0): blk for (dn,), blk in sym.hoppings.items()}
+    return _build(hoppings, region, KIND_HALFLINE)

@@ -324,7 +324,7 @@ def cmd_verify_product(cfg):
     sf, _ = invariants.corner_spectral_flow(
         prod, pair, cfg.L, n_t=cfg.t_grid, window=cfg.window,
         threshold=cfg.mask_threshold)
-    be_pair = invariants.bulk_edge_pair(h1, h2, grading)
+    be_pair = (invariants._pair_rank(h1, h2), i_2d * i_1d)
     doc = {
         "lhs": sf,
         "rhs": i_2d * i_1d,

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import GeometryError
 
 ALPHA = "alpha"
@@ -107,7 +109,7 @@ def _check_side(slope, which):
 
 
 def in_half_plane(slope, which, site):
-    """Membership of ``site = (m, n)`` in the alpha or beta half-plane."""
+    """Membership of one site, or of each site of an (..., 2) array, in a half-plane."""
     return strip_depth(slope, which, site) >= 0
 
 
@@ -117,18 +119,22 @@ def strip_depth(slope, which, site):
     Depth 0 is the boundary layer; positive depths go into the
     half-plane, negative depths lie outside it.  For rational slopes the
     depth counts lattice steps perpendicular to the edge direction within
-    the site's own column.
+    the site's own column.  One ``(m, n)`` site gives an int, an
+    ``(..., 2)`` integer array an array; ``ceil(p m / q) = -((-p m) // q)``
+    keeps the arithmetic exact.
     """
     _check_side(slope, which)
-    m, n = int(site[0]), int(site[1])
+    sites = np.asarray(site, dtype=np.int64)
+    m, n = sites[..., 0], sites[..., 1]
     if slope.kind == "+inf":
-        return m
-    if slope.kind == "-inf":
-        return -m
-    p, q = slope.p, slope.q
-    if which == ALPHA:
-        return n - math.ceil(Fraction(p * m, q))
-    return math.floor(Fraction(p * m, q)) - n
+        depth = m
+    elif slope.kind == "-inf":
+        depth = -m
+    elif which == ALPHA:
+        depth = n + (-slope.p * m) // slope.q
+    else:
+        depth = (slope.p * m) // slope.q - n
+    return depth if sites.ndim > 1 else int(depth)
 
 
 def edge_supercell(slope):
@@ -152,14 +158,19 @@ class LatticeRegion:
     def __init__(self, sites, norb):
         if not isinstance(norb, int) or norb < 1:
             raise GeometryError(f"norb must be a positive integer, got {norb!r}")
-        ordered = sorted((int(m), int(n)) for m, n in sites)
-        if not ordered:
+        coords = np.asarray(sites, dtype=np.int64)
+        if not coords.size:
             raise GeometryError("region is empty")
-        if len(set(ordered)) != len(ordered):
+        if coords.ndim != 2 or coords.shape[1] != 2:
+            raise GeometryError(f"sites must be (m, n) pairs, got shape {coords.shape}")
+        coords = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
+        if np.any(np.all(coords[1:] == coords[:-1], axis=1)):
             raise GeometryError("region has duplicate sites")
-        self.sites = tuple(ordered)
+        self.sites = tuple(map(tuple, coords.tolist()))
         self.norb = norb
-        self._site_index = {s: i for i, s in enumerate(self.sites)}
+        self._n_min = int(coords[:, 1].min())
+        self._span = int(coords[:, 1].max()) - self._n_min + 1
+        self._keys = coords[:, 0] * self._span + (coords[:, 1] - self._n_min)
 
     @property
     def n_sites(self):
@@ -170,14 +181,27 @@ class LatticeRegion:
         return len(self.sites) * self.norb
 
     def __contains__(self, site):
-        return (int(site[0]), int(site[1])) in self._site_index
+        return self.site_position(site) is not None
 
     def site_position(self, site):
-        """Position of a site in the ordering, or None if absent."""
-        return self._site_index.get((int(site[0]), int(site[1])))
+        """Position of a site in the ordering, or None if absent.
+
+        An ``(..., 2)`` array of sites gives an array with -1 where absent.
+        The lookup is a binary search on the key ``m * span + (n - n_min)``,
+        which increases with the lexicographic order.
+        """
+        sites = np.asarray(site, dtype=np.int64)
+        col = sites[..., 1] - self._n_min
+        keys = sites[..., 0] * self._span + col
+        pos = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        found = (self._keys[pos] == keys) & (col >= 0) & (col < self._span)
+        pos = np.where(found, pos, -1)
+        if sites.ndim > 1:
+            return pos
+        return int(pos) if found else None
 
     def index(self, site, orb):
-        pos = self._site_index.get((int(site[0]), int(site[1])))
+        pos = self.site_position(site)
         if pos is None:
             raise GeometryError(f"site {site} not in region")
         if not 0 <= orb < self.norb:
@@ -193,20 +217,20 @@ class LatticeRegion:
         return f"LatticeRegion(n_sites={self.n_sites}, norb={self.norb})"
 
 
+def _box(ms, ns):
+    """All sites (m, n) with m in ``ms`` and n in ``ns``, in lexicographic order."""
+    return np.stack(np.meshgrid(ms, ns, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
 def wedge_region(pair, L, norb):
     """Corner region: the wedge of ``pair`` cut to the max-norm ball of radius L."""
     if not isinstance(L, int) or L < 1:
         raise GeometryError(f"L must be a positive integer, got {L!r}")
-    sites = [
-        (m, n)
-        for m in range(-L, L + 1)
-        for n in range(-L, L + 1)
-        if in_half_plane(pair.alpha, ALPHA, (m, n))
-        and in_half_plane(pair.beta, BETA, (m, n))
-    ]
-    if not sites:
+    box = _box(np.arange(-L, L + 1), np.arange(-L, L + 1))
+    inside = in_half_plane(pair.alpha, ALPHA, box) & in_half_plane(pair.beta, BETA, box)
+    if not np.any(inside):
         raise GeometryError(f"wedge for {pair} is empty at L={L}")
-    return LatticeRegion(sites, norb)
+    return LatticeRegion(box[inside], norb)
 
 
 def strip_region(slope, which, W, norb):
@@ -226,23 +250,16 @@ def strip_region(slope, which, W, norb):
     _check_side(slope, which)
     if not isinstance(W, int) or W < 1:
         raise GeometryError(f"W must be a positive integer, got {W!r}")
-    sites = []
-    if slope.kind == "+inf":
-        sites = [(d, 0) for d in range(W)]
-    elif slope.kind == "-inf":
-        sites = [(-d, 0) for d in range(W)]
+    if slope.infinite:
+        box = _box(np.arange(1 - W, W), [0])
     else:
-        p, q = slope.p, slope.q
-        for m in range(q):
-            if which == ALPHA:
-                base = math.ceil(Fraction(p * m, q))
-                sites.extend((m, base + d) for d in range(W))
-            else:
-                base = math.floor(Fraction(p * m, q))
-                sites.extend((m, base - d) for d in range(W))
-    region = LatticeRegion(sites, norb)
-    depths = {site: strip_depth(slope, which, site) for site in region.sites}
-    return region, depths
+        # 0 <= m < q keeps the boundary row within |p| of n = 0.
+        reach = abs(slope.p) + W
+        box = _box(np.arange(slope.q), np.arange(-reach, reach + 1))
+    depth = strip_depth(slope, which, box)
+    inside = (depth >= 0) & (depth < W)
+    region = LatticeRegion(box[inside], norb)
+    return region, dict(zip(region.sites, depth[inside].tolist()))
 
 
 def reduce_to_supercell(slope, site):
@@ -250,10 +267,11 @@ def reduce_to_supercell(slope, site):
 
     Returns ``(rep, j)`` where ``rep`` lies in the supercell window
     (column 0 <= m < q for rational slopes, row n = 0 for infinite ones).
+    An ``(..., 2)`` array of sites gives arrays ``rep`` and ``j``.
     """
-    m, n = int(site[0]), int(site[1])
-    if slope.infinite:
-        return (m, 0), n
-    q, p = edge_supercell(slope)
-    j = m // q
-    return (m - j * q, n - j * p), j
+    sites = np.asarray(site, dtype=np.int64)
+    j = sites[..., 1] if slope.infinite else sites[..., 0] // slope.q
+    rep = sites - j[..., None] * np.array(edge_supercell(slope))
+    if sites.ndim > 1:
+        return rep, j
+    return tuple(rep.tolist()), int(j)

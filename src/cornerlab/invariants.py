@@ -28,6 +28,10 @@ KERNEL_TOL = 1e-6
 KERNEL_WEIGHT_MIN = 0.9
 NEAR_WALL_WEIGHT_MIN = 0.6
 DEFAULT_MASK_THRESHOLD = 0.6
+_EDGE_GAP_FLOOR = 0.1
+_FLOW_EDGE_W = 16
+_FLOW_EDGE_GRID = (8, 8)
+_WEAK_GRID = 20
 _LINK_FLOOR = 1e-3
 _FLUX_CEILING = 0.99 * np.pi
 
@@ -375,7 +379,7 @@ def _offset_grid(n_t):
     return (np.arange(n_t) + 0.5) * 2 * np.pi / n_t
 
 
-def _tracked_crossings(build_slice, n_t, window, weight_fn, jump_bound, max_refine):
+def _tracked_crossings(build_slice, n_t, window, weight_fn, jump_bound):
     slices = [build_slice(t) for t in _offset_grid(n_t)]
     track = spectra.track_branches(
         slices,
@@ -383,7 +387,6 @@ def _tracked_crossings(build_slice, n_t, window, weight_fn, jump_bound, max_refi
         weight_fn=weight_fn,
         jump_bound=jump_bound,
         refine_fn=build_slice,
-        max_refine=max_refine,
     )
     return spectra.crossings(track)
 
@@ -395,10 +398,8 @@ def _corner_profile(site):
     return math.exp(-(abs(site[0]) + 1.618 * abs(site[1])) / 4.0)
 
 
-def corner_spectral_flow(sym, pair, L, n_t=64, window=None, mask=None,
-                         threshold=DEFAULT_MASK_THRESHOLD, edge_W=16,
-                         edge_grid=(8, 8), max_refine=3, gap_floor=0.1,
-                         keep_samples=False):
+def corner_spectral_flow(sym, pair, L, n_t=64, window=None,
+                         threshold=DEFAULT_MASK_THRESHOLD, keep_samples=False):
     """Net spectral flow of the corner-compressed family over the t circle.
 
     Parameters
@@ -412,14 +413,9 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None, mask=None,
         Closed t-grid size; samples sit at half-step offsets.
     window : float, optional
         Tracking half-width.  Default: 0.45 times the smaller edge gap.
-    mask : callable, optional
-        Site predicate for "corner-localized".  Default: max-norm ball of
-        radius L/2 around the wedge vertex.
     threshold : float
-        Minimal mask weight for a crossing to count.
-    gap_floor : float
-        Smallest edge gap accepted as "open"; scanning below it means the
-        family is not certified Fredholm.
+        Minimal weight on the corner mask, the max-norm ball of radius L/2
+        around the wedge vertex, for a crossing to count.
     keep_samples : bool
         Record (t, eigenvalues, weights) for every diagonalized point,
         refinements included, in ``FlowDetail.samples`` (for plotting).
@@ -430,19 +426,19 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None, mask=None,
         Net signed count of zero crossings (up = +1) among corner-masked
         branches, plus per-crossing detail.
 
-    The edge gaps are scanned first; if the smaller one falls below
-    ``gap_floor``, or does not clear twice the window, the family is not
-    certified Fredholm on the circle and a GapClosedError is raised
-    instead of a meaningless count.
+    The edge gaps are scanned first, at depth 16 on an 8 x 8 grid; if the
+    smaller one does not exceed the edge-gap floor 0.1, or does not clear
+    twice the window, the family is not certified Fredholm on the circle
+    and a GapClosedError is raised instead of a meaningless count.
     """
     if sym.dim != 3:
         raise ModelError(f"corner flow needs a dim-3 symbol, got dim {sym.dim}")
-    gap_a, gap_b = edge_gap_scan(sym, pair, edge_W, edge_grid)
+    gap_a, gap_b = edge_gap_scan(sym, pair, _FLOW_EDGE_W, _FLOW_EDGE_GRID)
     min_gap = min(gap_a, gap_b)
-    if min_gap <= gap_floor:
+    if min_gap <= _EDGE_GAP_FLOOR:
         raise GapClosedError(
             f"edge gaps ({gap_a:.4f}, {gap_b:.4f}) fall below the floor "
-            f"{gap_floor}; corner family not certified Fredholm"
+            f"{_EDGE_GAP_FLOOR}; corner family not certified Fredholm"
         )
     if window is None:
         window = 0.45 * min_gap
@@ -451,11 +447,10 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None, mask=None,
             f"edge gaps ({gap_a:.4f}, {gap_b:.4f}) do not clear twice the "
             f"tracking window {window:.4f}; corner family not certified Fredholm"
         )
-    if mask is None:
-        half = L / 2
+    half = L / 2
 
-        def mask(site):
-            return max(abs(site[0]), abs(site[1])) <= half
+    def mask(site):
+        return max(abs(site[0]), abs(site[1])) <= half
 
     samples = [] if keep_samples else None
 
@@ -470,9 +465,7 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None, mask=None,
     def weight_fn(sl, i):
         return spectra.localization_weight(sl, i, mask)
 
-    raw = _tracked_crossings(
-        build, n_t, window, weight_fn, _parameter_rate(sym, 2), max_refine
-    )
+    raw = _tracked_crossings(build, n_t, window, weight_fn, _parameter_rate(sym, 2))
     detail = FlowDetail(
         crossings=_merge_crossings(raw),
         window=window,
@@ -484,23 +477,21 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None, mask=None,
     return detail.net_at(threshold), detail
 
 
-def edge_spectral_flow(sym, W=40, n_t=64, window=None,
-                       threshold=DEFAULT_MASK_THRESHOLD, max_refine=3):
+def edge_spectral_flow(sym, W=40, n_t=64):
     """Spectral flow of the half-line family of a dim-2 symbol.
 
     The second axis is folded to the family parameter t, the first is
     compressed to sites 0..W-1, and zero crossings of near-wall branches
-    (weight >= threshold within depth W/2) are counted over the circle.
-    Cross-check partner of :func:`chern_number`: the flow equals minus
-    that invariant.
+    (weight >= 0.6 within depth W/2) are tracked inside a window of 0.45
+    times the bulk gap and counted over the circle.  Cross-check partner
+    of :func:`chern_number`: the flow equals minus that invariant.
     """
     if sym.dim != 2:
         raise ModelError(f"edge flow needs a dim-2 symbol, got dim {sym.dim}")
-    if window is None:
-        gap = _bulk_gap_on_grid(sym, 32)
-        if gap <= GAP_FLOOR:
-            raise GapClosedError(f"bulk gap closes ({gap:.2e}); no tracking window")
-        window = 0.45 * gap
+    gap = _bulk_gap_on_grid(sym, 32)
+    if gap <= GAP_FLOOR:
+        raise GapClosedError(f"bulk gap closes ({gap:.2e}); no tracking window")
+    window = 0.45 * gap
 
     def near(site):
         return site[0] < W / 2
@@ -515,10 +506,9 @@ def edge_spectral_flow(sym, W=40, n_t=64, window=None,
     def weight_fn(sl, i):
         return spectra.localization_weight(sl, i, near)
 
-    raw = _tracked_crossings(
-        build, n_t, window, weight_fn, _parameter_rate(sym, 1), max_refine
-    )
-    return sum(c.direction for c in raw if c.weight is not None and c.weight >= threshold)
+    raw = _tracked_crossings(build, n_t, window, weight_fn, _parameter_rate(sym, 1))
+    return sum(c.direction for c in raw
+               if c.weight is not None and c.weight >= DEFAULT_MASK_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +535,8 @@ def _negative_band_count(sym, n=12):
     return _fermi_rank(np.linalg.eigvalsh(h), k)
 
 
-def bulk_edge_pair(h1, h2, grading):
-    """The pair (k1 * M2, product of the factor invariants).
-
-    k1 is the number of Bloch bands of h1 below zero (the Fermi
-    projection rank) and M2 the orbital count of h2.  A factor h1 with
-    no negative band has a trivial Fermi projection and the first
-    component loses its meaning, so that case is rejected.
-    """
+def _pair_rank(h1, h2):
+    """First component k1 * M2 of the bulk-edge pair, with its refusals."""
     if h1.dim != 2:
         raise ModelError(f"first factor must be dim 2, got dim {h1.dim}")
     if h2.dim != 1:
@@ -561,9 +545,18 @@ def bulk_edge_pair(h1, h2, grading):
     if k1 == 0:
         raise ModelError("h1 has no Bloch band below 0; k1 = 0 leaves the "
                          "first component undefined")
-    i1 = chern_number(h1)
-    i2 = winding_number(h2, grading)
-    return (k1 * h2.norb, i1 * i2)
+    return k1 * h2.norb
+
+
+def bulk_edge_pair(h1, h2, grading):
+    """The pair (k1 * M2, product of the factor invariants).
+
+    k1 is the number of Bloch bands of h1 below zero (the Fermi
+    projection rank) and M2 the orbital count of h2.  A factor h1 with
+    no negative band has a trivial Fermi projection and the first
+    component loses its meaning, so that case is rejected.
+    """
+    return (_pair_rank(h1, h2), chern_number(h1) * winding_number(h2, grading))
 
 
 # ---------------------------------------------------------------------------
@@ -603,15 +596,14 @@ class InvariantReport:
 
 
 def compute_report(sym, pair, *, W=40, edge_grid=(16, 16), L=24, n_t=64,
-                   window=None, threshold=DEFAULT_MASK_THRESHOLD, weak_grid=20,
-                   gap_floor=0.1, factors=None):
+                   window=None, threshold=DEFAULT_MASK_THRESHOLD, factors=None):
     """Run the full dim-3 pipeline: edge gaps, weak invariants, corner flow.
 
-    The corner flow is skipped (with the reason recorded in provenance)
-    when the measured edge gaps fall below ``gap_floor``, since the flow
-    is only defined for a Fredholm family.  When ``factors`` is given as
-    ``(h1, h2, grading)`` the factor invariants and the bulk-edge pair
-    are computed as well.
+    Weak invariants use a 20 x 20 grid.  The corner flow is skipped (with
+    the reason recorded in provenance) when the measured edge gaps do not
+    exceed the edge-gap floor 0.1, since the flow is only defined for a
+    Fredholm family.  When ``factors`` is given as ``(h1, h2, grading)``
+    the factor invariants and the bulk-edge pair are computed as well.
     """
     gap_a, gap_b = edge_gap_scan(sym, pair, W, edge_grid)
     provenance = {
@@ -622,15 +614,15 @@ def compute_report(sym, pair, *, W=40, edge_grid=(16, 16), L=24, n_t=64,
         "L": L,
         "t_grid": n_t,
         "mask_threshold": threshold,
-        "weak_grid": weak_grid,
-        "gap_floor": gap_floor,
+        "weak_grid": _WEAK_GRID,
+        "gap_floor": _EDGE_GAP_FLOOR,
         "residuals": {},
     }
     report = InvariantReport(
         min_edge_gap_alpha=gap_a, min_edge_gap_beta=gap_b, provenance=provenance
     )
-    report.weak = weak_invariants(sym, weak_grid)
-    if min(gap_a, gap_b) > gap_floor:
+    report.weak = weak_invariants(sym, _WEAK_GRID)
+    if min(gap_a, gap_b) > _EDGE_GAP_FLOOR:
         sf, detail = corner_spectral_flow(
             sym, pair, L, n_t=n_t, window=window, threshold=threshold
         )
@@ -641,7 +633,7 @@ def compute_report(sym, pair, *, W=40, edge_grid=(16, 16), L=24, n_t=64,
         provenance["window"] = window
         provenance["corner_skipped"] = (
             f"edge gaps ({gap_a:.4f}, {gap_b:.4f}) below gap floor "
-            f"{gap_floor}; corner family not Fredholm-certified"
+            f"{_EDGE_GAP_FLOOR}; corner family not Fredholm-certified"
         )
     if factors is not None:
         h1, h2, grading = factors
@@ -650,7 +642,7 @@ def compute_report(sym, pair, *, W=40, edge_grid=(16, 16), L=24, n_t=64,
         report.chern_2dA = -c
         report.winding_1dAIII = -w
         report.kernel_signature = kernel_signature(h2, grading)
-        report.bulk_edge_pair = bulk_edge_pair(h1, h2, grading)
+        report.bulk_edge_pair = (_pair_rank(h1, h2), c * w)
         provenance["residuals"]["chern"] = c_res
         provenance["residuals"]["winding"] = w_res
         provenance["chern_grid"] = c_grid

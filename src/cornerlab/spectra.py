@@ -42,7 +42,7 @@ class SpectralSlice:
 
 def _check_residuals(matrix, vals, vecs, sample=None, norm_a=None):
     """Residual contract ||A v - lambda v|| <= tol * ||A|| on (a sample of) pairs."""
-    if vecs is None or vals.size == 0:
+    if vals.size == 0:
         return
     if norm_a is None:
         norm_a = np.max(np.abs(vals))
@@ -58,7 +58,7 @@ def _check_residuals(matrix, vals, vecs, sample=None, norm_a=None):
         )
 
 
-def diagonalize(op, want_vectors=True):
+def diagonalize(op):
     """Full dense spectrum of an assembled operator.
 
     Eigensolver failures surface as EigensolverError; the returned pairs
@@ -66,10 +66,7 @@ def diagonalize(op, want_vectors=True):
     """
     dense = op.dense()
     try:
-        if want_vectors:
-            vals, vecs = np.linalg.eigh(dense)
-        else:
-            vals, vecs = np.linalg.eigvalsh(dense), None
+        vals, vecs = np.linalg.eigh(dense)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
     _check_residuals(dense, vals, vecs, sample=None if len(vals) <= 256 else 8)
@@ -273,22 +270,17 @@ def _window_indices(sl, window):
 
 
 def _match(sl_a, sl_b, idx_a, idx_b):
-    """Assign windowed states of two slices; returns [(ia, ib, quality, by_vec)]."""
+    """Assign windowed states of two slices by overlap; returns [(ia, ib, overlap)]."""
+    if sl_a.eigenvectors is None or sl_b.eigenvectors is None:
+        raise TrackingError("branch tracking needs eigenvectors on every slice")
     if idx_a.size == 0 or idx_b.size == 0:
         return []
-    if sl_a.eigenvectors is not None and sl_b.eigenvectors is not None:
-        ova = sl_a.eigenvectors[:, idx_a]
-        ovb = sl_b.eigenvectors[:, idx_b]
-        overlap = np.abs(ova.conj().T @ ovb)
-        rows, cols = linear_sum_assignment(-overlap)
-        return [
-            (int(idx_a[r]), int(idx_b[c]), float(overlap[r, c]), True)
-            for r, c in zip(rows, cols)
-        ]
-    dist = np.abs(sl_a.eigenvalues[idx_a][:, None] - sl_b.eigenvalues[idx_b][None, :])
-    rows, cols = linear_sum_assignment(dist)
+    ova = sl_a.eigenvectors[:, idx_a]
+    ovb = sl_b.eigenvectors[:, idx_b]
+    overlap = np.abs(ova.conj().T @ ovb)
+    rows, cols = linear_sum_assignment(-overlap)
     return [
-        (int(idx_a[r]), int(idx_b[c]), float(dist[r, c]), False)
+        (int(idx_a[r]), int(idx_b[c]), float(overlap[r, c]))
         for r, c in zip(rows, cols)
     ]
 
@@ -297,14 +289,14 @@ def _link_interval(sl_a, sl_b, t_a, t_b, window, jump_bound, refine_fn, depth):
     """Link windowed states of two slices, refining the interval on ambiguity."""
     pairs = _match(sl_a, sl_b, _window_indices(sl_a, window), _window_indices(sl_b, window))
     bad = False
-    for ia, ib, quality, by_vec in pairs:
-        if by_vec and quality < OVERLAP_MIN:
+    for ia, ib, overlap in pairs:
+        if overlap < OVERLAP_MIN:
             bad = True
         jump = abs(sl_b.eigenvalues[ib] - sl_a.eigenvalues[ia])
         if jump_bound is not None and jump > jump_bound * abs(t_b - t_a) + 1e-9:
             bad = True
     if not bad:
-        return [(ia, ib) for ia, ib, _, _ in pairs]
+        return [(ia, ib) for ia, ib, _ in pairs]
     if depth <= 0 or refine_fn is None:
         raise TrackingError(
             f"ambiguous branch linking between t={t_a:.6f} and t={t_b:.6f}"
@@ -324,7 +316,9 @@ def track_branches(slices, window, weight_fn=None, jump_bound=None,
     ----------
     slices : list of SpectralSlice
         One per grid point, t strictly increasing in [0, 2pi); the grid is
-        treated as closed (the last point links back to the first).
+        treated as closed (the last point links back to the first).  States
+        are linked by eigenvector overlap, so every slice, refined ones
+        included, must carry eigenvectors (TrackingError otherwise).
     window : float
         Half-width of the symmetric tracking window around zero.
     weight_fn : callable, optional

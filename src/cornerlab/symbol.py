@@ -13,6 +13,7 @@ convention, the periodic parameter axis t used in spectral-flow scans.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,11 @@ s0 = np.eye(2, dtype=complex)
 sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def _is_integer(value):
+    """True for an integral number that is not a bool (no silent coercion)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _as_block(norb, raw, where):
@@ -53,14 +59,16 @@ class HamiltonianSymbol:
     """
 
     def __init__(self, dim, norb, hoppings):
-        if dim not in (1, 2, 3):
+        if not _is_integer(dim) or dim not in (1, 2, 3):
             raise ModelError(f"dim must be 1, 2, or 3, got {dim!r}")
-        if not isinstance(norb, int) or norb < 1:
+        if not _is_integer(norb) or norb < 1:
             raise ModelError(f"norb must be a positive integer, got {norb!r}")
-        self._dim = dim
-        self._norb = norb
+        self._dim = int(dim)
+        self._norb = int(norb)
         stored = {}
         for offset, raw in hoppings.items():
+            if not all(_is_integer(c) for c in offset):
+                raise ModelError(f"offset {offset!r} has a non-integer component")
             off = tuple(int(c) for c in offset)
             if len(off) != dim:
                 raise ModelError(f"offset {offset!r} has length {len(off)}, expected {dim}")
@@ -421,18 +429,19 @@ def load_model(path):
         except json.JSONDecodeError as exc:
             raise ModelError(f"{path}: not valid JSON ({exc})") from exc
     try:
-        dim = int(doc["dim"])
-        norb = int(doc["norb"])
+        dim, norb = doc["dim"], doc["norb"]
         raw_hoppings = list(doc["hoppings"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"{path}: missing or malformed required key ({exc!r})") from exc
     hoppings = {}
     for entry in raw_hoppings:
         try:
-            off = tuple(int(c) for c in entry["offset"])
-            raw_block = entry["block"]
-        except (KeyError, TypeError, ValueError) as exc:
+            raw_offset, raw_block = entry["offset"], entry["block"]
+        except (KeyError, TypeError) as exc:
             raise ModelError(f"{path}: malformed hoppings entry ({exc!r})") from exc
+        if not (isinstance(raw_offset, list) and all(map(_is_integer, raw_offset))):
+            raise ModelError(f"{path}: offset {raw_offset!r} is not a list of integers")
+        off = tuple(raw_offset)
         if len(off) != dim:
             raise ModelError(f"{path}: offset {off} has wrong length for dim {dim}")
         if off in hoppings:

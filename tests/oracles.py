@@ -7,6 +7,9 @@ none of its code.  Kept in the test tree on purpose; nothing in the
 package imports this module.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 KERNEL_TOL = 1e-6
@@ -165,3 +168,84 @@ def oracle_flow_smalls(family, n_t=1024):
     up = int(np.sum((evs <= 0) & (nxt > 0)))
     down = int(np.sum((evs > 0) & (nxt <= 0)))
     return up - down
+
+
+# ---------------------------------------------------------------------------
+# real-space corner and edge-strip matrices, one site pair at a time
+#
+# Slopes are given as a Fraction or as +-math.inf: the alpha side of p/q
+# keeps n >= (p/q) m, the beta side keeps n <= (p/q) m, beta = +inf keeps
+# m >= 0 and alpha = -inf keeps m <= 0.  The entry from column site b to
+# row site a is h_(a - b), with the parameter axis of a dim-3 symbol folded
+# as sum_l h_(a - b, l) exp(-i l t).
+
+def fraction_depth(slope, which, m, n):
+    """Layer index of site (m, n) from the boundary line, by exact Fractions."""
+    if slope == math.inf:
+        return m
+    if slope == -math.inf:
+        return -m
+    if which == "alpha":
+        return n - math.ceil(Fraction(slope) * m)
+    return math.floor(Fraction(slope) * m) - n
+
+
+def _folded_blocks(sym, t):
+    folded = {}
+    for off, blk in sym.hoppings.items():
+        phase = np.exp(-1j * off[2] * t) if len(off) == 3 else 1.0
+        folded[off[:2]] = folded.get(off[:2], 0) + blk * phase
+    return folded
+
+
+def oracle_corner_matrix(sym, alpha, beta, L, t):
+    """Corner section of a dim-3 symbol on the wedge (alpha, beta) cut to |.|_max <= L.
+
+    Returns the lexicographically ordered sites and the dense matrix.
+    """
+    sites = [(m, n) for m in range(-L, L + 1) for n in range(-L, L + 1)
+             if fraction_depth(alpha, "alpha", m, n) >= 0
+             and fraction_depth(beta, "beta", m, n) >= 0]
+    folded = _folded_blocks(sym, t)
+    norb = sym.norb
+    h = np.zeros((len(sites) * norb, len(sites) * norb), dtype=complex)
+    for ia, a in enumerate(sites):
+        for ib, b in enumerate(sites):
+            blk = folded.get((a[0] - b[0], a[1] - b[1]))
+            if blk is not None:
+                h[ia * norb:(ia + 1) * norb, ib * norb:(ib + 1) * norb] = blk
+    return sites, h
+
+
+def oracle_strip_matrix(sym, slope, which, W, k_edge, t=None):
+    """Edge strip of a dim-2 or dim-3 symbol: one supercell, W layers deep.
+
+    The supercell of p/q is the columns 0 <= m < q with translation
+    v = (q, p); an infinite slope has the single row n = 0 and v = (0, 1).
+    Entry (a, b) sums h_(a + j v - b) exp(i k_edge j) over all integers j.
+    Returns the lexicographically ordered sites and the dense matrix.
+    """
+    if abs(slope) == math.inf:
+        sign = 1 if slope > 0 else -1
+        sites, v = [(sign * d, 0) for d in range(W)], (0, 1)
+    else:
+        frac = Fraction(slope)
+        sites, v = [], (frac.denominator, frac.numerator)
+        for m in range(frac.denominator):
+            if which == "alpha":
+                sites += [(m, math.ceil(frac * m) + d) for d in range(W)]
+            else:
+                sites += [(m, math.floor(frac * m) - d) for d in range(W)]
+    sites.sort()
+    folded = _folded_blocks(sym, t)
+    reach = max(max(abs(c) for c in d) for d in folded) + max(map(abs, v)) + 1
+    norb = sym.norb
+    h = np.zeros((len(sites) * norb, len(sites) * norb), dtype=complex)
+    for ia, a in enumerate(sites):
+        for ib, b in enumerate(sites):
+            for j in range(-reach, reach + 1):
+                blk = folded.get((a[0] + j * v[0] - b[0], a[1] + j * v[1] - b[1]))
+                if blk is not None:
+                    h[ia * norb:(ia + 1) * norb, ib * norb:(ib + 1) * norb] += (
+                        blk * np.exp(1j * k_edge * j))
+    return sites, h

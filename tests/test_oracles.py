@@ -1,9 +1,12 @@
 """Oracle self-checks, plus library-vs-oracle equality on shared instances."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import cornerlab as cl
+from cornerlab.geometry import Slope, SlopePair
 from cornerlab.symbol import (
     ChiralGrading,
     HamiltonianSymbol,
@@ -15,9 +18,12 @@ from cornerlab.symbol import (
 )
 
 from oracles import (
+    fraction_depth,
     oracle_chern_refine,
+    oracle_corner_matrix,
     oracle_flow_smalls,
     oracle_halfline_kernel,
+    oracle_strip_matrix,
     shift_recursion_kernel,
 )
 
@@ -113,3 +119,57 @@ def test_library_tracking_agrees_with_flow_oracle():
         track = track_branches(slices, window=0.5)
         net = sum(c.direction for c in crossings(track))
         assert net == oracle_flow_smalls(fam)
+
+
+def _oracle_slope(text):
+    return float(text) if "inf" in text else Fraction(text)
+
+
+def _random_range2_symbol(rng):
+    """Dim-3, two-orbital symbol with random hoppings reaching two sites."""
+    hoppings = {}
+    for _ in range(6):
+        off = (*(int(c) for c in rng.integers(-2, 3, size=2)), int(rng.integers(-1, 2)))
+        blk = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        minus = tuple(-c for c in off)
+        hoppings[off] = hoppings.get(off, 0) + blk
+        hoppings[minus] = hoppings.get(minus, 0) + blk.conj().T
+    return HamiltonianSymbol(3, 2, hoppings)
+
+
+def test_assemblers_match_site_pair_oracle():
+    """Corner and strip matrices equal a dense double loop over site pairs."""
+    rng = np.random.default_rng(41)
+    syms = (builtin_models()["product_example"].symbol, _random_range2_symbol(rng))
+    for sym in syms:
+        for alpha, beta in (("0", "inf"), ("-1/2", "3"), ("-inf", "1/3")):
+            t = float(rng.uniform(0, 2 * np.pi))
+            op = cl.assemble_corner(
+                sym, SlopePair(Slope.parse(alpha), Slope.parse(beta)), 5, t)
+            sites, want = oracle_corner_matrix(
+                sym, _oracle_slope(alpha), _oracle_slope(beta), 5, t)
+            assert list(op.region.sites) == sites
+            assert np.max(np.abs(op.dense() - want)) <= 1e-14
+        for slope, which in (("0", "alpha"), ("0", "beta"), ("1/2", "alpha"),
+                             ("1/2", "beta"), ("-3/2", "alpha"), ("-3/2", "beta"),
+                             ("inf", "beta"), ("-inf", "alpha")):
+            k_edge, t = (float(x) for x in rng.uniform(0, 2 * np.pi, size=2))
+            op = cl.assemble_edge_strip(sym, Slope.parse(slope), which, 5, k_edge, t=t)
+            sites, want = oracle_strip_matrix(sym, _oracle_slope(slope), which, 5, k_edge, t)
+            assert list(op.region.sites) == sites
+            assert np.max(np.abs(op.dense() - want)) <= 1e-14
+
+
+def test_strip_depth_matches_fraction_formula():
+    grid = np.stack(np.meshgrid(np.arange(-7, 8), np.arange(-7, 8), indexing="ij"), -1)
+    for text, which in (("0", "alpha"), ("0", "beta"), ("1/2", "alpha"),
+                        ("1/2", "beta"), ("-3/2", "alpha"), ("-3/2", "beta"),
+                        ("2/5", "alpha"), ("-7/3", "beta"),
+                        ("inf", "beta"), ("-inf", "alpha")):
+        slope, exact = Slope.parse(text), _oracle_slope(text)
+        depths = cl.strip_depth(slope, which, grid)
+        for m in range(-7, 8):
+            for n in range(-7, 8):
+                want = fraction_depth(exact, which, m, n)
+                assert depths[m + 7, n + 7] == want
+                assert cl.strip_depth(slope, which, (m, n)) == want

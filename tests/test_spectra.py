@@ -218,6 +218,9 @@ def test_tracking_needs_three_points_and_sorted_grid():
     shuffled = [slices[0], slices[2], slices[1]]
     with pytest.raises(TrackingError):
         track_branches(shuffled, window=0.5)
+    bare = SpectralSlice(slices[1].eigenvalues, None, "test", t=slices[1].t)
+    with pytest.raises(TrackingError, match="eigenvectors"):
+        track_branches([slices[0], bare, slices[2]], window=0.5)
 
 
 def test_tracking_ambiguity_raises_without_refinement():

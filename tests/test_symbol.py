@@ -56,6 +56,8 @@ def test_bad_dim_and_norb():
         HamiltonianSymbol(2, 0, {})
     with pytest.raises(ModelError):
         HamiltonianSymbol(2, 2, {(1, 0, 0): sx})
+    with pytest.raises(ModelError):
+        HamiltonianSymbol(1.0, 2, {(0,): sz})
 
 
 def test_evaluate_bloch_matches_explicit_sum():
@@ -232,6 +234,11 @@ def test_load_model_rejects_garbage(tmp_path):
             {"offset": [0], "block": [[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}]},
         {"dim": 1, "norb": 1, "hoppings": [[0]]},
         {"dim": 1, "norb": 1, "hoppings": 5},
+        {"dim": 1.9, "norb": 1, "hoppings": [{"offset": [0], "block": block}]},
+        {"dim": 1, "norb": 1, "hoppings": [{"offset": [0.7], "block": block}]},
+        {"dim": 2, "norb": 1, "hoppings": [{"offset": "10", "block": block}]},
+        {"dim": 1, "norb": 1.0, "hoppings": [{"offset": [0], "block": block}]},
+        {"dim": 1, "norb": True, "hoppings": [{"offset": [0], "block": block}]},
     ):
         bad.write_text(json.dumps(doc))
         with pytest.raises(ModelError):

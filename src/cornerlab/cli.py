@@ -70,6 +70,8 @@ class RunConfig:
             raise ModelError(f"k-grid must be at least 2, got {self.k_grid}")
         if self.window is not None and not self.window > 0:
             raise ModelError(f"window must be positive, got {self.window}")
+        if self.gap_threshold is not None and not 0 <= self.gap_threshold < np.inf:
+            raise ModelError(f"gap-threshold must be finite and >= 0, got {self.gap_threshold}")
         if not 0.0 < self.mask_threshold < 1.0:
             raise ModelError(
                 f"mask-threshold must lie in (0, 1), got {self.mask_threshold}")
@@ -87,6 +89,14 @@ def _load_named(name):
     if os.path.exists(name):
         return symbol.load_model(name)
     raise ModelError(f"{name!r} is neither a builtin model nor an existing file")
+
+
+def _load_factors(cfg):
+    h1, _ = _load_named(cfg.h1)
+    h2, grading = _load_named(cfg.h2)
+    if grading is None:
+        raise ModelError(f"{cfg.h2!r} carries no chiral grading")
+    return h1, h2, grading
 
 
 def _load_model(cfg):
@@ -313,10 +323,7 @@ def cmd_corner_flow(cfg):
 def cmd_verify_product(cfg):
     if cfg.h1 is None or cfg.h2 is None:
         raise ModelError("verify-product requires --h1 and --h2")
-    h1, _ = _load_named(cfg.h1)
-    h2, grading = _load_named(cfg.h2)
-    if grading is None:
-        raise ModelError(f"{cfg.h2!r} carries no chiral grading")
+    h1, h2, grading = _load_factors(cfg)
     pair = _slope_pair(cfg)
     i_2d = invariants.chern_number(h1)
     i_1d = invariants.winding_number(h2, grading)
@@ -343,13 +350,7 @@ def cmd_verify_product(cfg):
 def cmd_report(cfg):
     sym, _ = _load_model(cfg)
     pair = _slope_pair(cfg)
-    factors = None
-    if cfg.h1 is not None and cfg.h2 is not None:
-        h1, _ = _load_named(cfg.h1)
-        h2, grading = _load_named(cfg.h2)
-        if grading is None:
-            raise ModelError(f"{cfg.h2!r} carries no chiral grading")
-        factors = (h1, h2, grading)
+    factors = _load_factors(cfg) if cfg.h1 is not None and cfg.h2 is not None else None
     report = invariants.compute_report(
         sym, pair, W=cfg.W, edge_grid=(cfg.k_grid, cfg.k_grid), L=cfg.L,
         n_t=cfg.t_grid, window=cfg.window, threshold=cfg.mask_threshold,
@@ -444,8 +445,12 @@ def main(argv=None):
         0 success, 2 model/config error, 3 numerical failure, 4 gap
         assumption violated.
     """
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse takes "-inf", "-1/2" for options
+        flag, value = argv[i:i + 2]
+        if flag in ("--alpha", "--beta") and value.startswith("-") and value[1:2] != "-":
+            argv[i:i + 2] = [f"{flag}={value}"]
+    args = _build_parser().parse_args(argv)
     fields = {k: v for k, v in vars(args).items() if k != "func"}
     try:
         cfg = RunConfig(**fields)

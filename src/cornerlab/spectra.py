@@ -73,33 +73,27 @@ def diagonalize(op):
     return SpectralSlice(vals, vecs, op.kind, t=op.t, k_edge=op.k_edge, region=op.region)
 
 
-def _shift_factorize(csc, n):
-    last_exc = None
-    for sigma in (0.0, 1.3e-6, 4.1e-6):
-        shifted = csc if sigma == 0.0 else csc - sigma * sparse.identity(
-            n, dtype=csc.dtype, format="csc")
+def _factor(csc, *shifts):
+    """Symmetric-mode SuperLU of the Hermitian ``csc - shift`` at the first of
+    ``shifts`` that factors: MMD on A + A^T, diagonal pivots unless one is 0."""
+    eye = sparse.identity(csc.shape[0], dtype=csc.dtype, format="csc")
+    for shift in shifts:
         try:
-            return spla.splu(shifted)
+            return spla.splu(csc - shift * eye, permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except RuntimeError as exc:
-            last_exc = exc
-    raise EigensolverError(f"sparse factorization failed: {last_exc}")
+            failure = exc
+    raise EigensolverError(f"sparse factorization at {shift:.6g} failed: {failure}")
 
 
 def _count_below(csc, shift):
     """Exact number of eigenvalues of the Hermitian ``csc`` below ``shift``.
 
-    SuperLU in symmetric mode with diagonal pivots only factors the
-    symmetrically permuted A - shift as L D L^H, D being the diagonal of U.
-    That is a congruence, so by Sylvester's law of inertia the negative
-    entries of D count the eigenvalues below the shift.  A row pivot off
-    the diagonal breaks the congruence and is refused rather than counted.
+    Diagonal pivots make ``_factor`` a congruence L D L^H (D the diagonal of
+    U), so by Sylvester's law of inertia the negative entries of D count the
+    eigenvalues below the shift; an off-diagonal pivot is refused, not counted.
     """
-    shifted = csc - shift * sparse.identity(csc.shape[0], dtype=csc.dtype, format="csc")
-    try:
-        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise EigensolverError(f"inertia factorization at {shift:.6g} failed: {exc}") from exc
+    lu = _factor(csc, shift)
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise EigensolverError(
             f"inertia factorization at {shift:.6g} pivoted off the diagonal; no count")
@@ -113,10 +107,11 @@ def diagonalize_window(op, window, k=None):
     give, by Sylvester's law of inertia, the exact number ``count`` of
     eigenvalues in that interval.  An empty interval returns at once.
     Otherwise a seeded random block of ``count + 8`` vectors is driven by
-    A^{-1} with a Rayleigh-Ritz step on A after every sweep, until exactly
-    ``count`` Ritz pairs inside the interval meet the residual contract.
-    The random block has full projection onto every eigenspace, so exact
-    degeneracies come out whole and orthonormal.
+    A^{-1}, solved with the same symmetric L D L^H factorization taken at 0
+    (or 1.3e-6, 4.1e-6 if A is singular), with a Rayleigh-Ritz step on A
+    after every sweep, until exactly ``count`` Ritz pairs inside the interval
+    meet the residual contract.  The random block has full projection onto
+    every eigenspace, so exact degeneracies come out whole and orthonormal.
 
     Refusals: a window that is not a positive finite number raises
     ValueError; a factorization that fails or pivots off the diagonal, or
@@ -136,7 +131,7 @@ def diagonalize_window(op, window, k=None):
     if count == 0:
         return SpectralSlice(np.empty(0), np.empty((n, 0), dtype=complex), op.kind,
                              t=op.t, k_edge=op.k_edge, region=op.region)
-    lu = _shift_factorize(csc, n)
+    lu = _factor(csc, 0.0, 1.3e-6, 4.1e-6)
     size = min(count + 8, n)
     rng = np.random.default_rng(_BLOCK_SEED)
     block = rng.standard_normal((n, size)) + 1j * rng.standard_normal((n, size))

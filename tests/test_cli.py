@@ -120,6 +120,26 @@ def test_config_validation_exits_2():
                "--t-grid", "8", "--window", "nan") == 2
     assert run("corner-flow", "--builtin", "product_example", "--L", "12",
                "--t-grid", "8", "--window", "inf") == 4
+    for bad in ("nan", "inf", "-1"):
+        assert run("edge-gap", "--builtin", "product_example", "--W", "8",
+                   "--k-grid", "2", "--gap-threshold", bad) == 2
+
+
+def test_negative_slopes_as_separate_values(tmp_path, capsys):
+    """"-inf" and "-1/2" after --alpha are slope values, not options."""
+    code = run("corner-flow", "--builtin", "product_example", "--alpha", "-inf",
+               "--beta", "1/3", "--L", "10", "--t-grid", "8", "--out", str(tmp_path))
+    assert code == 4  # the tilted beta edge of the product model is gapless
+    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert err["error"]["type"] == "GapClosedError"
+    code = run("edge-gap", "--builtin", "product_example", "--alpha", "-1/2",
+               "--beta", "3", "--W", "12", "--k-grid", "4", "--out", str(tmp_path))
+    assert code == 0
+    doc = json.loads((tmp_path / "edge_gap.json").read_text())
+    assert (doc["config"]["alpha"], doc["config"]["beta"]) == ("-1/2", "3")
+    with pytest.raises(SystemExit) as info:
+        run("edge-gap", "--builtin", "product_example", "--alpha")
+    assert info.value.code == 2
 
 
 def test_verify_product_requires_grading(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cornerlab import TrackingError, assembly, geometry, spectra, symbol
+from cornerlab import EigensolverError, TrackingError, assembly, geometry, spectra, symbol
 from cornerlab.spectra import (
     SpectralSlice,
     all_weights,
@@ -37,7 +37,6 @@ def test_dense_diagonalize_reconstructs():
 
 
 def test_eigenvalues_must_be_ascending():
-    from cornerlab import EigensolverError
     with pytest.raises(EigensolverError):
         SpectralSlice(np.array([1.0, 0.0]), None, "test")
 
@@ -124,6 +123,45 @@ def test_window_solver_inertia_count(n, on_shift):
     assert np.max(np.abs(gram - np.eye(sl.eigenvalues.size))) < 1e-10
     if not on_shift:
         assert sl.eigenvalues.size == np.count_nonzero(np.abs(dense) <= 1.05 * w)
+
+
+def _zero_eigenvalue_op():
+    """Diagonal with exact zeros: A itself is exactly singular."""
+    diagonal = np.tile([0.0, 0.2, -0.2, 2.0, -2.0], 8).astype(complex)
+    return assembly.AssembledOperator(sp.diags(diagonal, format="csr"), "test")
+
+
+def _chiral_op():
+    """Blocks [[0, a], [conj(a), 0]] (eigenvalues +-|a|): A has a zero diagonal."""
+    rng = np.random.default_rng(3)
+    size = np.concatenate([[0.1, 0.3, 0.3], rng.uniform(1.0, 3.0, 17)])
+    hop = size * np.exp(2j * np.pi * rng.uniform(size=size.size))
+    blocks = [np.array([[0.0, a], [np.conj(a), 0.0]]) for a in hop]
+    return assembly.AssembledOperator(sp.block_diag(blocks, format="csr"), "test")
+
+
+@pytest.mark.parametrize("make_op, singular", [(_zero_eigenvalue_op, True),
+                                               (_chiral_op, False)])
+def test_window_solver_shift_zero_factor(make_op, singular):
+    """The solve factor at shift 0: exactly singular (the solver must retry at
+    a tiny shift) or zero-diagonal (SuperLU must pivot off the diagonal)."""
+    op = make_op()
+    csc = op.matrix.tocsc()
+    if singular:
+        with pytest.raises(EigensolverError, match="singular"):
+            spectra._factor(csc, 0.0)
+    else:
+        lu = spectra._factor(csc, 0.0)
+        assert not np.array_equal(lu.perm_r, lu.perm_c)
+
+    sl = diagonalize_window(op, 0.45)
+
+    dense = np.linalg.eigvalsh(op.dense())
+    inside = dense[np.abs(dense) <= 1.05 * 0.45]
+    assert inside.size > 0 and sl.eigenvalues.size == inside.size
+    assert np.allclose(sl.eigenvalues, inside, atol=1e-12)
+    gram = sl.eigenvectors.conj().T @ sl.eigenvectors
+    assert np.max(np.abs(gram - np.eye(sl.eigenvalues.size))) < 1e-10
 
 
 @pytest.mark.parametrize("window", [float("nan"), -0.45, 0.0, float("inf")])

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly, geometry, spectra
-from .errors import GapClosedError, ModelError, ResidualError
+from .errors import EigensolverError, GapClosedError, ModelError, ResidualError
 from .symbol import check_chiral, evaluate_bloch, partial_bloch
 
 GAP_FLOOR = 1e-8
@@ -271,19 +271,49 @@ def kernel_signature(sym, grading, W=40):
 # ---------------------------------------------------------------------------
 # edge gap scan
 
+def _strip_lower_bound(op):
+    """Lower bound on every |eigenvalue| a sharpened strip slice can report.
+
+    Eigenvalues only (``eigvalsh``), less a margin of 1e-10 times the max
+    absolute row sum that covers the rounding gap to ``eigh`` and to the
+    Rayleigh quotients of sharpening, which stay inside their cluster's
+    hull.  A cluster straddling 0 has no such hull bound, so it gives 0.
+    """
+    dense = op.dense()
+    try:
+        vals = np.linalg.eigvalsh(dense)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
+    margin = 1e-10 * float(np.abs(dense).sum(axis=1).max())
+    split = np.searchsorted(vals, 0.0)
+    if 0 < split < vals.size and (
+            vals[split] - vals[split - 1] <= spectra.DEGENERACY_CLUSTER_TOL + margin):
+        return 0.0
+    return float(np.min(np.abs(vals))) - margin
+
+
 def edge_gap_scan(sym, pair, W, grid=(16, 16)):
     """Smallest near-wall |eigenvalue| of both edge compressions.
 
-    Both strips are diagonalized over an ``(k_edge, t)`` product grid.
-    Only eigenstates carrying at least 60% of their weight within depth
-    W/2 of the wall count: the far wall of a finite strip hosts the
-    spectrum of the opposite compression and must not contaminate the
-    minimum.  Returns ``(min_alpha, min_beta)``; a small value is a
-    valid answer (the gap assumption fails), never an error.
+    Both strips are diagonalized over an ``(k_edge, t)`` product grid of
+    ``grid = (nk, nt)`` integers >= 1 (an int n means ``(n, n)``; anything
+    else raises ModelError).  Only eigenstates carrying at least 60% of
+    their weight within depth W/2 of the wall count: the far wall of a
+    finite strip hosts the spectrum of the opposite compression and must
+    not contaminate the minimum.  Returns ``(min_alpha, min_beta)``; a
+    small value is a valid answer (the gap assumption fails), never an error.
+
+    An eigenvalue-only screen bounds each strip from below
+    (``_strip_lower_bound``).  Strips then take the full path (``eigh``
+    with its residual check, sharpening, weights) in ascending bound until
+    the bound reaches the running minimum.  Skipped strips are not
+    residual-checked; the minima always come from checked pairs.
     """
     if sym.dim != 3:
         raise ModelError(f"edge gap scan needs a dim-3 symbol, got dim {sym.dim}")
     nk, nt = grid if isinstance(grid, tuple) else (grid, grid)
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (nk, nt)):
+        raise ModelError(f"edge scan grid sizes must be integers >= 1, got {grid!r}")
     k_vals = 2 * np.pi * np.arange(nk) / nk
     t_vals = 2 * np.pi * np.arange(nt) / nt
     minima = []
@@ -291,18 +321,25 @@ def edge_gap_scan(sym, pair, W, grid=(16, 16)):
         def near(site, which=which, slope=slope):
             return geometry.strip_depth(slope, which, site) < W / 2
 
-        best = math.inf
-        fallback = math.inf
-        for k_edge in k_vals:
-            for t in t_vals:
-                op = assembly.assemble_edge_strip(sym, slope, which, W, k_edge, t=t)
-                sl = spectra.diagonalize(op)
-                sl = spectra.sharpen_degeneracies(sl, near, matrix=op.matrix)
-                absvals = np.abs(sl.eigenvalues)
-                fallback = min(fallback, float(np.min(absvals)))
-                eligible = spectra.all_weights(sl, near) >= NEAR_WALL_WEIGHT_MIN
-                if np.any(eligible):
-                    best = min(best, float(np.min(absvals[eligible])))
+        def strip(k_edge, t, which=which, slope=slope):
+            return assembly.assemble_edge_strip(sym, slope, which, W, k_edge, t=t)
+
+        screen = sorted(
+            ((_strip_lower_bound(strip(k_edge, t)), k_edge, t)
+             for k_edge in k_vals for t in t_vals),
+            key=lambda row: row[0])
+        best = fallback = math.inf
+        for bound, k_edge, t in screen:
+            if bound >= best:
+                break
+            op = strip(k_edge, t)
+            sl = spectra.diagonalize(op)
+            sl = spectra.sharpen_degeneracies(sl, near, matrix=op.matrix)
+            absvals = np.abs(sl.eigenvalues)
+            fallback = min(fallback, float(np.min(absvals)))
+            eligible = spectra.all_weights(sl, near) >= NEAR_WALL_WEIGHT_MIN
+            if np.any(eligible):
+                best = min(best, float(np.min(absvals[eligible])))
         # A strip whose states all hug the far wall (or spread evenly) gives
         # no attributable minimum; the unfiltered spectrum still bounds the
         # edge gap from below, so report that instead of infinity.
@@ -351,7 +388,9 @@ def _merge_crossings(raw, tol=1e-6):
     for c in sorted(raw, key=lambda c: (c.t, -c.direction)):
         if rows and rows[-1].direction == c.direction and abs(rows[-1].t - c.t) <= tol:
             prev = rows[-1]
-            members = prev.member_weights + ((c.weight,) if c.weight is not None else ())
+            # Sorted, so that the solver's basis of a degenerate eigenspace is not output.
+            members = tuple(sorted(
+                prev.member_weights + ((c.weight,) if c.weight is not None else ())))
             rows[-1] = FlowCrossing(
                 t=prev.t,
                 direction=prev.direction,

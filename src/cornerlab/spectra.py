@@ -122,7 +122,7 @@ def diagonalize_window(op, window, k=None):
     """
     if not 0 < window < np.inf:
         raise ValueError(f"window must be positive and finite, got {window}")
-    matrix = op.matrix
+    matrix = op.matrix.astype(complex, copy=False)
     n = matrix.shape[0]
     csc = matrix.tocsc()
     edge = 1.05 * window

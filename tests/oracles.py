@@ -3,8 +3,9 @@
 Everything here recomputes a library quantity by a deliberately different
 route (dense SVD, closed-form recursions, exhaustive grids) so that the
 production pipeline can be checked against an implementation that shares
-none of its code.  Kept in the test tree on purpose; nothing in the
-package imports this module.
+none of its code; the one exception, ``oracle_edge_gap_scan``, is the
+unscreened loop kept as the reference for the screened edge scan.  Kept
+in the test tree on purpose; nothing in the package imports this module.
 """
 
 import math
@@ -249,3 +250,36 @@ def oracle_strip_matrix(sym, slope, which, W, k_edge, t=None):
                     h[ia * norb:(ia + 1) * norb, ib * norb:(ib + 1) * norb] += (
                         blk * np.exp(1j * k_edge * j))
     return sites, h
+
+
+def oracle_edge_gap_scan(sym, pair, W, grid):
+    """``edge_gap_scan`` without its eigenvalue screen: every strip of the
+    ``grid = (nk, nt)`` product grid goes through dense ``eigh``, degeneracy
+    sharpening and near-wall weights, in grid order.
+
+    This is the reference the screened scan must reproduce exactly; unlike
+    the rest of this module it reuses the package's assembler and spectral
+    routines, since what it checks is which strips the screen skips.
+    """
+    from cornerlab import assembly, geometry, spectra
+    from cornerlab.invariants import NEAR_WALL_WEIGHT_MIN
+
+    nk, nt = grid
+    minima = []
+    for which, slope in ((geometry.ALPHA, pair.alpha), (geometry.BETA, pair.beta)):
+        def near(site, which=which, slope=slope):
+            return geometry.strip_depth(slope, which, site) < W / 2
+
+        best = fallback = math.inf
+        for k_edge in 2 * np.pi * np.arange(nk) / nk:
+            for t in 2 * np.pi * np.arange(nt) / nt:
+                op = assembly.assemble_edge_strip(sym, slope, which, W, k_edge, t=t)
+                sl = spectra.sharpen_degeneracies(
+                    spectra.diagonalize(op), near, matrix=op.matrix)
+                absvals = np.abs(sl.eigenvalues)
+                fallback = min(fallback, float(np.min(absvals)))
+                eligible = spectra.all_weights(sl, near) >= NEAR_WALL_WEIGHT_MIN
+                if np.any(eligible):
+                    best = min(best, float(np.min(absvals[eligible])))
+        minima.append(best if best < math.inf else fallback)
+    return minima[0], minima[1]

@@ -64,7 +64,7 @@ def test_criterion_2_edge_gap_condition(edge_scan_product, timings):
     assert gap_a >= 0.99, f"alpha edge gap {gap_a:.6f} < 0.99"
     assert gap_b >= 0.99, f"beta edge gap {gap_b:.6f} < 0.99"
     scan_s = timings["edge_scan_product"]
-    assert scan_s < 120.0, f"edge scan took {scan_s:.1f}s, budget 120s"
+    assert scan_s < 10.0, f"edge scan took {scan_s:.1f}s, budget 10s"
     print(f"criterion 2 (edge gaps {gap_a:.4f}/{gap_b:.4f}): PASS [{scan_s:.1f}s]")
 
 

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import cornerlab as cl
-from cornerlab import GapClosedError, ModelError, symbol
+from cornerlab import GapClosedError, ModelError, geometry, invariants, spectra, symbol
+from cornerlab.assembly import AssembledOperator
 from cornerlab.geometry import Slope, SlopePair
+from cornerlab.spectra import Crossing
 from cornerlab.symbol import (
     ChiralGrading,
     HamiltonianSymbol,
@@ -99,6 +102,29 @@ def test_edge_gap_scan_flags_gapless_stacked_edge(models):
         cl.edge_gap_scan(qwz_model(-1.0), PAIR, 16, (6, 6))
 
 
+@pytest.mark.parametrize("grid", [(0, 0), (0, 4), 0, (-1, 3)])
+def test_edge_gap_scan_refuses_empty_grid(models, grid):
+    """An empty grid would report an infinite gap; it is refused instead."""
+    with pytest.raises(ModelError, match="grid"):
+        cl.edge_gap_scan(models["product_example"].symbol, PAIR, 8, grid)
+
+
+def test_strip_bound_covers_sharpened_cluster_straddling_zero():
+    """Sharpening rotates a cluster that straddles 0 to Rayleigh values
+    below its smallest |eigenvalue|, so the screen bounds such a strip by 0;
+    a strip without one is bounded by its smallest |eigenvalue| less margin."""
+    region = geometry.LatticeRegion([(0, 0), (1, 0), (2, 0)], 1)
+    h = np.array([[0, 4e-5, 0], [4e-5, 0, 0], [0, 0, 1.0]], complex)
+    op = AssembledOperator(sp.csr_matrix(h), "test", region=region)
+    sl = spectra.sharpen_degeneracies(
+        spectra.diagonalize(op), lambda site: site[0] == 0, matrix=op.matrix)
+    assert np.min(np.abs(sl.eigenvalues)) < 1e-12
+    assert invariants._strip_lower_bound(op) == 0.0
+    gapped = AssembledOperator(
+        sp.diags(np.array([-0.3, 0.2, 0.2 + 5e-5, 2.0], complex), format="csr"), "test")
+    assert invariants._strip_lower_bound(gapped) == pytest.approx(0.2 - 2e-10, abs=1e-15)
+
+
 def test_corner_flow_refuses_uncertified_family(models):
     with pytest.raises(GapClosedError, match="floor"):
         cl.corner_spectral_flow(models["h1_stacked"].symbol, PAIR, 12, n_t=8)
@@ -119,6 +145,18 @@ def test_corner_flow_additive_under_direct_sum(models):
     net, detail = cl.corner_spectral_flow(padded, PAIR, 16, n_t=32)
     assert net == 1
     assert detail.edge_gaps is not None and min(detail.edge_gaps) > 0.9
+
+
+def test_merged_crossing_rows_ignore_branch_order():
+    """Coincident crossings merge into one row whatever their branch order,
+    which follows the solver's basis of a degenerate eigenspace."""
+    raw = [Crossing(t=0.5, direction=1, weight=w, branch=b)
+           for b, w in enumerate((0.0, 1.0, 0.9, 1e-3))]
+    raw.append(Crossing(t=2.0, direction=-1, weight=None, branch=4))
+    rows = invariants._merge_crossings(raw)
+    assert rows == invariants._merge_crossings(raw[::-1])
+    assert rows[0].member_weights == (0.0, 1e-3, 0.9, 1.0)
+    assert rows[0].multiplicity == 4 and len(rows) == 2
 
 
 def test_weak_invariants_values(models):

@@ -12,6 +12,8 @@ from cornerlab.symbol import (
     HamiltonianSymbol,
     builtin_models,
     chiral_shift_model,
+    perturb_onsite,
+    product_hamiltonian,
     qwz_model,
     sx,
     sz,
@@ -21,6 +23,7 @@ from oracles import (
     fraction_depth,
     oracle_chern_refine,
     oracle_corner_matrix,
+    oracle_edge_gap_scan,
     oracle_flow_smalls,
     oracle_halfline_kernel,
     oracle_strip_matrix,
@@ -173,3 +176,36 @@ def test_strip_depth_matches_fraction_formula():
                 want = fraction_depth(exact, which, m, n)
                 assert depths[m + 7, n + 7] == want
                 assert cl.strip_depth(slope, which, (m, n)) == want
+
+
+def _edge_scan_cases():
+    """(symbol, pair) of each oracle case for the screened edge scan."""
+    models = builtin_models()
+    product = models["product_example"].symbol
+    h2 = models["h2_example"]
+    quadrant = SlopePair(Slope.rational(0, 1), Slope.plus_inf())
+
+    def factor_perturbed(seed):
+        h1 = perturb_onsite(models["h1_example"].symbol, 0.1, seed)
+        return product_hamiltonian(h1, h2.symbol, h2.grading)
+
+    return {
+        "product": (product, quadrant),
+        "perturbed_3": (perturb_onsite(product, 0.1, 3), quadrant),
+        "perturbed_8": (perturb_onsite(product, 0.1, 8), quadrant),
+        "factor_perturbed_3": (factor_perturbed(3), quadrant),
+        "factor_perturbed_8": (factor_perturbed(8), quadrant),
+        # clusters straddle 0 on the gapless alpha edge
+        "stacked": (models["h1_stacked"].symbol, quadrant),
+        # supercells of two columns on both sides
+        "slopes_q2": (product, SlopePair(Slope.parse("-3/2"), Slope.parse("1/2"))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_edge_scan_cases()))
+def test_screened_edge_scan_equals_unscreened_oracle(name):
+    """The eigenvalue screen skips only strips that cannot lower a minimum,
+    so both minima are exactly those of the full loop over every strip."""
+    sym, pair = _edge_scan_cases()[name]
+    assert cl.edge_gap_scan(sym, pair, 16, (6, 6)) == \
+        oracle_edge_gap_scan(sym, pair, 16, (6, 6))

@@ -164,6 +164,20 @@ def test_window_solver_shift_zero_factor(make_op, singular):
     assert np.max(np.abs(gram - np.eye(sl.eigenvalues.size))) < 1e-10
 
 
+def test_window_solver_real_matrix():
+    """A real sparse matrix goes through the same complex solve path."""
+    op = assembly.AssembledOperator(
+        sp.diags(np.tile([0.1, -0.1, 2.0, -2.0], 5), format="csr"), "test")
+
+    sl = diagonalize_window(op, 0.45)
+
+    dense = np.linalg.eigvalsh(op.dense())
+    assert np.allclose(sl.eigenvalues, dense[np.abs(dense) <= 0.45], atol=1e-12)
+    assert np.allclose(sl.eigenvalues, [-0.1] * 5 + [0.1] * 5, atol=1e-12)
+    gram = sl.eigenvectors.conj().T @ sl.eigenvectors
+    assert np.max(np.abs(gram - np.eye(sl.eigenvalues.size))) < 1e-10
+
+
 @pytest.mark.parametrize("window", [float("nan"), -0.45, 0.0, float("inf")])
 def test_window_solver_rejects_bad_window(window):
     op = _block_diagonal_op([0.1, -0.1, 2.0, -2.0], seed=0)

@@ -2,11 +2,14 @@
 
 Real-space convention: the matrix entry coupling row site x to column
 site y is the hopping block ``h_{x-y}``, with the third (parameter) axis
-folded by the phase ``exp(-i l t)`` beforehand.  This is the unique choice
+entering through the phase ``exp(-i l t)``.  This is the unique choice
 consistent with the Bloch convention ``H(k) = sum_r h_r exp(i <r, k>)``:
 plane waves ``exp(-i k x)`` then diagonalize the bulk operator with
-eigenvalue matrix H(k).  Truncations are Dirichlet (hops leaving the
-region are dropped).
+eigenvalue matrix H(k).  The parameter axis has the opposite Fourier
+orientation to the lattice axes; this fixes the traversal direction of
+closed families so that upward eigenvalue crossings count the same
+invariant the bulk formulas produce.  Truncations are Dirichlet (hops
+leaving the region are dropped).
 """
 
 from dataclasses import dataclass
@@ -53,43 +56,23 @@ class AssembledOperator:
         return self.matrix.toarray()
 
 
-def _fold_parameter_axis(sym, t):
-    """Reduce a dim-3 symbol to dim-2 blocks at parameter t (identity for dim 2).
-
-    The parameter axis is folded with the opposite Fourier orientation to the
-    lattice axes.  This fixes the traversal direction of closed families so
-    that upward eigenvalue crossings count the same invariant the bulk
-    formulas produce; with the other orientation every spectral flow in the
-    library would flip sign.
-    """
-    if sym.dim == 3:
-        return symbol.partial_bloch(sym, 2, -t)
-    return sym
-
-
-def _build(hoppings, region, kind, place=None, t=None, k_edge=None):
+def _build(hoppings, region, kind, t=None):
     """Assemble a CSR matrix from 2-D hoppings over all region sites at once.
 
     Every region site is displaced by every hopping offset in one array
-    operation; ``place(targets)`` maps the ``(n_hops, n_sites, 2)`` targets
-    to row positions (-1 drops the hop) and phases (None for all 1).  With
-    no place rule, hops are truncated to the region (Dirichlet).  Hops that
-    land on the same entry are summed.
+    operation; hops leaving the region are dropped (Dirichlet) and hops
+    that land on the same entry are summed.
     """
     norb = region.norb
     offsets = np.array(list(hoppings), dtype=np.int64).reshape(-1, 1, 2)
     blocks = np.array(list(hoppings.values()), dtype=complex).reshape(-1, norb * norb)
-    targets = np.array(region.sites, dtype=np.int64) + offsets
-    pos, phase = (region.site_position(targets), None) if place is None else place(targets)
+    pos = region.site_position(np.array(region.sites, dtype=np.int64) + offsets)
     hop, col = np.nonzero(pos >= 0)
-    values = blocks[hop] if phase is None else blocks[hop] * phase[hop, col, None]
     orb_row, orb_col = np.divmod(np.arange(norb * norb), norb)
-    rows = pos[hop, col, None] * norb + orb_row
-    cols = col[:, None] * norb + orb_col
-    mat = sp.coo_matrix(
-        (values.ravel(), (rows.ravel(), cols.ravel())), shape=(region.dof, region.dof)
-    ).tocsr()
-    return AssembledOperator(mat, kind, region=region, t=t, k_edge=k_edge)
+    rows = (pos[hop, col, None] * norb + orb_row).ravel()
+    cols = (col[:, None] * norb + orb_col).ravel()
+    mat = sp.coo_matrix((blocks[hop].ravel(), (rows, cols)), shape=(region.dof,) * 2).tocsr()
+    return AssembledOperator(mat, kind, region=region, t=t)
 
 
 def assemble_bulk(sym, k):
@@ -112,44 +95,86 @@ def assemble_corner(sym, pair, L, t):
     rng = max(sym.hopping_range()[:2])
     if rng > L:
         raise GeometryError(f"hopping range {rng} exceeds corner size L={L}")
-    folded = _fold_parameter_axis(sym, t)
     region = geometry.wedge_region(pair, L, sym.norb)
-    return _build(folded.hoppings, region, KIND_CORNER, t=float(t))
+    return _build(symbol.partial_bloch(sym, 2, -t).hoppings, region, KIND_CORNER, t=float(t))
 
 
-def assemble_edge_strip(sym, slope, which, W, k_edge, t=None):
-    """Edge compression: one supercell wide, W layers deep, Bloch in k_edge.
+@dataclass
+class StripFamily:
+    """Edge strips ``sum_T exp(i (j k_edge - l t)) coeffs[T]`` over ``terms`` T = (j, l).
 
-    Hops whose target leaves the supercell window along the edge direction
-    re-enter through the Bloch phase ``exp(i k_edge j)`` where j counts
-    supercell translations; hops leaving the W-layer window transversally
-    are dropped (Dirichlet walls at depth 0 and depth W-1).
+    j counts supercell translations, l indexes the parameter axis (0 in dim 2).
+    All ``coeffs`` share the row-major flat indices ``entries``, mirrored by
+    ``entries[transpose]``.  Every point is checked for Hermiticity, and its
+    value does not depend on which other points are evaluated.
+    """
+
+    region: "geometry.LatticeRegion"
+    kind: str
+    dim: int
+    terms: np.ndarray
+    coeffs: np.ndarray
+    entries: np.ndarray
+    transpose: np.ndarray
+
+    def dense(self, k_edge, t=None):
+        if self.dim == 3 and t is None:
+            raise ModelError("dim-3 symbol needs a parameter value t")
+        angle = self.terms[:, 0] * k_edge - self.terms[:, 1] * (t if self.dim == 3 else 0.0)
+        vals = (np.exp(1j * angle)[:, None] * self.coeffs).sum(axis=0)
+        if np.abs(vals - vals[self.transpose].conj()).max(initial=0) > ASSEMBLY_HERMITICITY_TOL:
+            raise ModelError(f"assembled {self.kind} matrix is not Hermitian")
+        out = np.zeros((self.region.dof, self.region.dof), dtype=complex)
+        out.flat[self.entries] = vals
+        return out
+
+    def operator(self, k_edge, t=None):
+        mat = sp.csr_matrix(self.dense(k_edge, t))
+        return AssembledOperator(mat, self.kind, region=self.region,
+                                 t=None if t is None else float(t), k_edge=float(k_edge))
+
+
+def strip_family(sym, slope, which, W):
+    """Edge compressions of a dim-2 or dim-3 symbol: one supercell wide, W layers deep.
+
+    Hops leaving the supercell along the edge re-enter with the Bloch phase
+    ``exp(i k_edge j)``, j counting supercell translations; hops leaving the
+    W layers are dropped (Dirichlet walls at depths 0 and W-1).  Validated as
+    one strip; geometry and pattern are built once for all ``(k_edge, t)``.
     """
     if sym.dim not in (2, 3):
         raise ModelError(f"edge strip expects a dim-2 or dim-3 symbol, got dim {sym.dim}")
-    if sym.dim == 3 and t is None:
-        raise ModelError("dim-3 symbol needs a parameter value t")
     rng = max(sym.hopping_range()[:2])
     if W <= rng:
         raise GeometryError(f"W={W} must exceed the hopping range {rng}")
-    folded = _fold_parameter_axis(sym, t)
     region, _ = geometry.strip_region(slope, which, W, sym.norb)
+    norb, n = sym.norb, region.dof
+    offsets = np.array(list(sym.hoppings), dtype=np.int64).reshape(-1, sym.dim)
+    blocks = np.array(list(sym.hoppings.values()), dtype=complex).reshape(-1, norb * norb)
+    targets = np.array(region.sites, dtype=np.int64) + offsets[:, None, :2]
+    depth = geometry.strip_depth(slope, which, targets)
+    inside = (depth >= 0) & (depth < W)
+    rep, j = geometry.reduce_to_supercell(slope, targets)
+    pos = region.site_position(rep)
+    if (lost := targets[inside & (pos < 0)]).size:
+        raise GeometryError(f"supercell reduction failed for site {tuple(lost[0].tolist())}")
+    hop, col = np.nonzero(inside)
+    orb_row, orb_col = np.divmod(np.arange(norb * norb), norb)
+    keys = ((pos[hop, col, None] * norb + orb_row) * n + col[:, None] * norb + orb_col).ravel()
+    entries = np.unique(np.concatenate((keys, keys % n * n + keys // n)))
+    l_index = offsets[hop, 2] if sym.dim == 3 else np.zeros_like(hop)
+    terms, term = np.unique(np.column_stack((j[hop, col], l_index)), axis=0, return_inverse=True)
+    coeffs = np.zeros((len(terms), entries.size), dtype=complex)
+    np.add.at(coeffs, (np.repeat(term.ravel(), norb * norb), np.searchsorted(entries, keys)),
+              blocks[hop].ravel())
     kind = KIND_EDGE_ALPHA if which == geometry.ALPHA else KIND_EDGE_BETA
+    mirror = np.searchsorted(entries, entries % n * n + entries // n)
+    return StripFamily(region, kind, sym.dim, terms, coeffs, entries, mirror)
 
-    def place(targets):
-        depth = geometry.strip_depth(slope, which, targets)
-        rep, j = geometry.reduce_to_supercell(slope, targets)
-        pos = region.site_position(rep)
-        inside = (depth >= 0) & (depth < W)
-        lost = targets[inside & (pos < 0)]
-        if lost.size:
-            raise GeometryError(f"supercell reduction failed for site {tuple(lost[0].tolist())}")
-        return np.where(inside, pos, -1), np.exp(1j * k_edge * j)
 
-    return _build(
-        folded.hoppings, region, kind, place,
-        t=None if t is None else float(t), k_edge=float(k_edge),
-    )
+def assemble_edge_strip(sym, slope, which, W, k_edge, t=None):
+    """The strip of :func:`strip_family` at ``(k_edge, t)``; ``t`` is needed in dim 3."""
+    return strip_family(sym, slope, which, W).operator(k_edge, t)
 
 
 def assemble_halfline(sym, W):

@@ -274,12 +274,12 @@ def kernel_signature(sym, grading, W=40):
 def _strip_lower_bound(op):
     """Lower bound on every |eigenvalue| a sharpened strip slice can report.
 
-    Eigenvalues only (``eigvalsh``), less a margin of 1e-10 times the max
-    absolute row sum that covers the rounding gap to ``eigh`` and to the
-    Rayleigh quotients of sharpening, which stay inside their cluster's
-    hull.  A cluster straddling 0 has no such hull bound, so it gives 0.
+    ``op`` is an AssembledOperator or its dense matrix.  Eigenvalues only
+    (``eigvalsh``), less a margin of 1e-10 times the max absolute row sum
+    that covers the rounding gap to ``eigh`` and to sharpening's Rayleigh
+    quotients, which stay in their cluster's hull; a cluster straddling 0 gives 0.
     """
-    dense = op.dense()
+    dense = op.dense() if isinstance(op, assembly.AssembledOperator) else op
     try:
         vals = np.linalg.eigvalsh(dense)
     except np.linalg.LinAlgError as exc:
@@ -290,6 +290,14 @@ def _strip_lower_bound(op):
             vals[split] - vals[split - 1] <= spectra.DEGENERACY_CLUSTER_TOL + margin):
         return 0.0
     return float(np.min(np.abs(vals))) - margin
+
+
+def _scan_grid(grid):
+    """``(nk, nt)`` from an int n (meaning ``(n, n)``) or a tuple of two ints >= 1."""
+    nk, nt = grid if isinstance(grid, tuple) else (grid, grid)
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (nk, nt)):
+        raise ModelError(f"edge scan grid sizes must be integers >= 1, got {grid!r}")
+    return int(nk), int(nt)
 
 
 def edge_gap_scan(sym, pair, W, grid=(16, 16)):
@@ -303,17 +311,15 @@ def edge_gap_scan(sym, pair, W, grid=(16, 16)):
     not contaminate the minimum.  Returns ``(min_alpha, min_beta)``; a
     small value is a valid answer (the gap assumption fails), never an error.
 
-    An eigenvalue-only screen bounds each strip from below
-    (``_strip_lower_bound``).  Strips then take the full path (``eigh``
-    with its residual check, sharpening, weights) in ascending bound until
-    the bound reaches the running minimum.  Skipped strips are not
-    residual-checked; the minima always come from checked pairs.
+    Each side evaluates one :func:`assembly.strip_family`.  An eigenvalue-only
+    screen bounds each strip from below (``_strip_lower_bound``); strips take
+    the full path (``eigh`` with residual check, sharpening, weights) in
+    ascending bound until it reaches the running minimum.  Skipped strips
+    are not residual-checked; the minima always come from checked pairs.
     """
     if sym.dim != 3:
         raise ModelError(f"edge gap scan needs a dim-3 symbol, got dim {sym.dim}")
-    nk, nt = grid if isinstance(grid, tuple) else (grid, grid)
-    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (nk, nt)):
-        raise ModelError(f"edge scan grid sizes must be integers >= 1, got {grid!r}")
+    nk, nt = _scan_grid(grid)
     k_vals = 2 * np.pi * np.arange(nk) / nk
     t_vals = 2 * np.pi * np.arange(nt) / nt
     minima = []
@@ -321,18 +327,16 @@ def edge_gap_scan(sym, pair, W, grid=(16, 16)):
         def near(site, which=which, slope=slope):
             return geometry.strip_depth(slope, which, site) < W / 2
 
-        def strip(k_edge, t, which=which, slope=slope):
-            return assembly.assemble_edge_strip(sym, slope, which, W, k_edge, t=t)
-
+        family = assembly.strip_family(sym, slope, which, W)
         screen = sorted(
-            ((_strip_lower_bound(strip(k_edge, t)), k_edge, t)
+            ((_strip_lower_bound(family.dense(k_edge, t)), k_edge, t)
              for k_edge in k_vals for t in t_vals),
             key=lambda row: row[0])
         best = fallback = math.inf
         for bound, k_edge, t in screen:
             if bound >= best:
                 break
-            op = strip(k_edge, t)
+            op = family.operator(k_edge, t)
             sl = spectra.diagonalize(op)
             sl = spectra.sharpen_degeneracies(sl, near, matrix=op.matrix)
             absvals = np.abs(sl.eigenvalues)
@@ -644,6 +648,7 @@ def compute_report(sym, pair, *, W=40, edge_grid=(16, 16), L=24, n_t=64,
     Fredholm family.  When ``factors`` is given as ``(h1, h2, grading)``
     the factor invariants and the bulk-edge pair are computed as well.
     """
+    edge_grid = _scan_grid(edge_grid)
     gap_a, gap_b = edge_gap_scan(sym, pair, W, edge_grid)
     provenance = {
         "alpha": str(pair.alpha),

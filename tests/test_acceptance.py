@@ -64,7 +64,7 @@ def test_criterion_2_edge_gap_condition(edge_scan_product, timings):
     assert gap_a >= 0.99, f"alpha edge gap {gap_a:.6f} < 0.99"
     assert gap_b >= 0.99, f"beta edge gap {gap_b:.6f} < 0.99"
     scan_s = timings["edge_scan_product"]
-    assert scan_s < 10.0, f"edge scan took {scan_s:.1f}s, budget 10s"
+    assert scan_s < 6.0, f"edge scan took {scan_s:.1f}s, budget 6s"
     print(f"criterion 2 (edge gaps {gap_a:.4f}/{gap_b:.4f}): PASS [{scan_s:.1f}s]")
 
 
@@ -95,8 +95,9 @@ def test_criterion_5_perturbation_stability(perturbed_runs, timings):
         assert net == 1, f"seed {seed}: perturbed flow {net} != 1"
         assert min(gap_a, gap_b) >= 0.8, (
             f"seed {seed}: perturbed edge gaps ({gap_a:.4f}, {gap_b:.4f}) < 0.8")
-    print(f"criterion 5 (5 seeds, norm 0.1): PASS "
-          f"[{timings['perturbed_runs']:.1f}s]")
+    runs_s = timings["perturbed_runs"]
+    assert runs_s < 60.0, f"perturbed runs took {runs_s:.1f}s, budget 60s"
+    print(f"criterion 5 (5 seeds, norm 0.1): PASS [{runs_s:.1f}s]")
 
 
 def _near_wall_zero_state(op, depth):

@@ -1,5 +1,7 @@
 """Real-space assembly: bulk fibers, half-lines, edge strips, corners."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,12 @@ from cornerlab.assembly import (
     assemble_corner,
     assemble_edge_strip,
     assemble_halfline,
+    strip_family,
 )
 from cornerlab.geometry import Slope, SlopePair
 from cornerlab.symbol import builtin_models, chiral_shift_model, partial_bloch, qwz_model
+
+from oracles import oracle_strip_matrix
 
 PAIR = SlopePair(Slope.rational(0, 1), Slope.plus_inf())
 
@@ -143,3 +148,44 @@ def test_edge_strip_validation():
     with pytest.raises(ModelError):
         assemble_edge_strip(chiral_shift_model()[0], Slope.rational(0, 1),
                             "alpha", 10, 0.0)
+
+
+STRIP_SIDES = (("0", "alpha"), ("0", "beta"), ("1/2", "alpha"), ("1/2", "beta"),
+               ("-3/2", "alpha"), ("-3/2", "beta"), ("inf", "beta"), ("-inf", "alpha"))
+
+
+@pytest.mark.parametrize("name", ["product_example", "h1_example"])
+def test_strip_family_matches_site_pair_oracle(name):
+    """Every (k_edge, t) of a family equals the dense site-pair oracle, and
+    assembling one strip gives exactly the family's value at that point."""
+    sym = builtin_models()[name].symbol
+    ks = (0.0, 1.1, 4.4)
+    ts = (0.0, 2.3, 5.9) if sym.dim == 3 else (None,)
+    for text, which in STRIP_SIDES:
+        slope = Slope.parse(text)
+        exact = float(text) if "inf" in text else Fraction(text)
+        family = strip_family(sym, slope, which, 5)
+        for k_edge in ks:
+            for t in ts:
+                got = family.dense(k_edge, t)
+                sites, want = oracle_strip_matrix(sym, exact, which, 5, k_edge, t)
+                assert list(family.region.sites) == sites
+                assert np.max(np.abs(got - want)) <= 1e-14
+                op = assemble_edge_strip(sym, slope, which, 5, k_edge, t=t)
+                assert np.array_equal(op.dense(), got)
+                assert (op.k_edge, op.t) == (k_edge, t)
+
+
+def test_strip_family_checks_every_point_for_hermiticity():
+    """A coefficient that breaks the mirror symmetry is refused at every point."""
+    sym = builtin_models()["product_example"].symbol
+    family = strip_family(sym, Slope.rational(1, 2), "alpha", 6)
+    off_diagonal = np.nonzero(family.transpose != np.arange(family.entries.size))[0][0]
+    family.coeffs[:, off_diagonal] += 1e-9
+    for k_edge, t in ((0.0, 0.0), (0.7, 2.1)):
+        with pytest.raises(ModelError, match="not Hermitian"):
+            family.dense(k_edge, t)
+        with pytest.raises(ModelError, match="not Hermitian"):
+            family.operator(k_edge, t)
+    with pytest.raises(ModelError, match="parameter value t"):
+        family.dense(0.0)

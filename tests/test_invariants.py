@@ -1,5 +1,7 @@
 """Bulk invariants, edge diagnostics, corner flow, and the report."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -103,10 +105,31 @@ def test_edge_gap_scan_flags_gapless_stacked_edge(models):
 
 
 @pytest.mark.parametrize("grid", [(0, 0), (0, 4), 0, (-1, 3)])
-def test_edge_gap_scan_refuses_empty_grid(models, grid):
-    """An empty grid would report an infinite gap; it is refused instead."""
+def test_edge_gap_scan_refuses_empty_grid(models, grid, monkeypatch):
+    """An empty grid would report an infinite gap; it is refused instead,
+    and the report refuses it before any scan or invariant runs."""
     with pytest.raises(ModelError, match="grid"):
         cl.edge_gap_scan(models["product_example"].symbol, PAIR, 8, grid)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the grid was validated")
+
+    monkeypatch.setattr(invariants, "edge_gap_scan", no_work)
+    monkeypatch.setattr(invariants, "weak_invariants", no_work)
+    with pytest.raises(ModelError, match="grid"):
+        cl.compute_report(models["product_example"].symbol, PAIR, W=8, edge_grid=grid)
+
+
+@pytest.mark.parametrize("grid", [2, np.int64(2)])
+def test_compute_report_records_int_edge_grid(models, grid):
+    """An int grid n means (n, n) for the report as for the scan, and the
+    provenance records it as a JSON pair of plain ints."""
+    report = cl.compute_report(models["product_example"].symbol, PAIR,
+                               W=8, edge_grid=grid, L=8, n_t=8)
+    assert report.provenance["edge_grid"] == [2, 2]
+    assert json.loads(report.to_json())["provenance"]["edge_grid"] == [2, 2]
+    assert (report.min_edge_gap_alpha, report.min_edge_gap_beta) == cl.edge_gap_scan(
+        models["product_example"].symbol, PAIR, 8, (2, 2))
 
 
 def test_strip_bound_covers_sharpened_cluster_straddling_zero():

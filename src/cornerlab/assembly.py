@@ -117,11 +117,14 @@ class StripFamily:
     entries: np.ndarray
     transpose: np.ndarray
 
-    def dense(self, k_edge, t=None):
+    def _values(self, k_edge, t):
         if self.dim == 3 and t is None:
             raise ModelError("dim-3 symbol needs a parameter value t")
         angle = self.terms[:, 0] * k_edge - self.terms[:, 1] * (t if self.dim == 3 else 0.0)
-        vals = (np.exp(1j * angle)[:, None] * self.coeffs).sum(axis=0)
+        return (np.exp(1j * angle)[:, None] * self.coeffs).sum(axis=0)
+
+    def dense(self, k_edge, t=None):
+        vals = self._values(k_edge, t)
         if np.abs(vals - vals[self.transpose].conj()).max(initial=0) > ASSEMBLY_HERMITICITY_TOL:
             raise ModelError(f"assembled {self.kind} matrix is not Hermitian")
         out = np.zeros((self.region.dof, self.region.dof), dtype=complex)
@@ -129,7 +132,10 @@ class StripFamily:
         return out
 
     def operator(self, k_edge, t=None):
-        mat = sp.csr_matrix(self.dense(k_edge, t))
+        """CSR on the whole pattern, zeros kept; checked by AssembledOperator."""
+        n = self.region.dof
+        indptr = np.searchsorted(self.entries, np.arange(n + 1) * n)
+        mat = sp.csr_matrix((self._values(k_edge, t), self.entries % n, indptr), shape=(n, n))
         return AssembledOperator(mat, self.kind, region=self.region,
                                  t=None if t is None else float(t), k_edge=float(k_edge))
 

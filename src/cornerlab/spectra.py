@@ -3,11 +3,11 @@ and eigenvalue-branch tracking across a closed parameter grid.
 
 Branch tracking is the raw material for spectral flow: eigenvalues inside
 a symmetric window around zero are linked across neighboring parameter
-values by eigenvector overlap, and the resulting branches are scanned for
-signed zero crossings.
+values by eigenvector overlap, and every linked pair whose sign changes
+is one signed zero crossing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
@@ -19,6 +19,7 @@ from .errors import EigensolverError, TrackingError
 RESIDUAL_REL_TOL = 1e-8
 OVERLAP_MIN = 0.5
 DEGENERACY_CLUSTER_TOL = 1e-4
+_MAX_REFINE = 3
 _BLOCK_SEED = 11
 _BLOCK_MAX_SWEEPS = 200
 
@@ -188,15 +189,15 @@ def all_weights(sl, mask):
     return (mvec @ dens) / np.sum(dens, axis=0)
 
 
-def sharpen_degeneracies(sl, mask, matrix=None, cluster_tol=DEGENERACY_CLUSTER_TOL):
+def sharpen_degeneracies(sl, mask, matrix=None):
     """Rotate near-degenerate eigenvector clusters to a localization basis.
 
     Exactly or nearly degenerate eigenstates living at different geometric
     features (the four corners of a truncated wedge, the two walls of a
     strip) come out of a black-box eigensolver as arbitrary mixtures.
-    Within each cluster of eigenvalues closer than ``cluster_tol`` this
-    rediagonalizes the masked-weight form, producing states that are as
-    localized or as delocalized with respect to the mask as the physics
+    Within each cluster of eigenvalues closer than ``DEGENERACY_CLUSTER_TOL``
+    this rediagonalizes the masked-weight form, producing states that are
+    as localized or as delocalized with respect to the mask as the physics
     allows, without changing the spanned space.  When ``matrix`` is given
     the rotated states get Rayleigh-quotient eigenvalues.
     """
@@ -205,7 +206,7 @@ def sharpen_degeneracies(sl, mask, matrix=None, cluster_tol=DEGENERACY_CLUSTER_T
     vals = sl.eigenvalues.copy()
     vecs = sl.eigenvectors.copy()
     mvec = mask_vector(sl.region, mask)
-    splits = np.nonzero(np.diff(vals) > cluster_tol)[0] + 1
+    splits = np.nonzero(np.diff(vals) > DEGENERACY_CLUSTER_TOL)[0] + 1
     changed = False
     for cluster in np.split(np.arange(vals.size), splits):
         if cluster.size < 2:
@@ -231,23 +232,17 @@ def sharpen_degeneracies(sl, mask, matrix=None, cluster_tol=DEGENERACY_CLUSTER_T
 # branch tracking
 
 @dataclass
-class BranchPoint:
-    grid_index: int
-    value: float
-    weight: float | None = None
-
-
-@dataclass
-class Branch:
-    points: list
-    closed: bool = False
-
-
-@dataclass
 class BranchTrack:
+    """Windowed states linked across every interval of a closed parameter grid.
+
+    ``links[i]`` lists the pairs linked from ``grid[i]`` to the next point
+    (``grid[0] + 2 pi`` after the last) as ``(value_a, value_b, weight)``:
+    two eigenvalues and the mean endpoint weight (None unless signs differ).
+    """
+
     grid: np.ndarray
     window: float
-    branches: list = field(default_factory=list)
+    links: list
 
 
 @dataclass
@@ -257,7 +252,6 @@ class Crossing:
     t: float
     direction: int
     weight: float | None
-    branch: int
 
 
 def _window_indices(sl, window):
@@ -303,9 +297,8 @@ def _link_interval(sl_a, sl_b, t_a, t_b, window, jump_bound, refine_fn, depth):
     return [(ia, right[im]) for ia, im in left.items() if im in right]
 
 
-def track_branches(slices, window, weight_fn=None, jump_bound=None,
-                   refine_fn=None, max_refine=3):
-    """Link windowed eigenvalues over a closed parameter grid into branches.
+def track_branches(slices, window, weight_fn=None, jump_bound=None, refine_fn=None):
+    """Link the windowed eigenvalues of neighboring points of a closed grid.
 
     Parameters
     ----------
@@ -317,15 +310,18 @@ def track_branches(slices, window, weight_fn=None, jump_bound=None,
     window : float
         Half-width of the symmetric tracking window around zero.
     weight_fn : callable, optional
-        ``weight_fn(slice, eigen_index) -> float`` stored on each branch
-        point (localization weight).
+        ``weight_fn(slice, eigen_index) -> float`` (localization weight),
+        called at the two endpoints of each linked pair that changes sign.
     jump_bound : float, optional
         Lipschitz rate C; a linked pair with |dlambda| > C dt triggers
         local grid refinement.
     refine_fn : callable, optional
         ``refine_fn(t) -> SpectralSlice`` used to resolve ambiguous
-        linkings; after ``max_refine`` bisections a TrackingError is
+        linkings; after ``_MAX_REFINE`` bisections a TrackingError is
         raised.
+
+    Returns a :class:`BranchTrack`.  Overlap assignment is one-to-one, so
+    the links chain into disjoint branches; each sign change is one link.
     """
     n = len(slices)
     if n < 3:
@@ -333,76 +329,32 @@ def track_branches(slices, window, weight_fn=None, jump_bound=None,
     grid = np.array([sl.t for sl in slices], dtype=float)
     if np.any(np.diff(grid) <= 0):
         raise TrackingError("slice grid must be strictly increasing")
-    links = {}
+    ends = np.append(grid[1:], grid[0] + 2 * np.pi)
+    links = []
     for i in range(n):
-        j = (i + 1) % n
-        t_b = grid[j] if j != 0 else grid[0] + 2 * np.pi
-        for ia, ib in _link_interval(
-            slices[i], slices[j], grid[i], t_b, window, jump_bound, refine_fn, max_refine
-        ):
-            links[(i, ia)] = (j, ib)
-    nodes = {
-        (i, int(a)) for i, sl in enumerate(slices) for a in _window_indices(sl, window)
-    }
-    has_prev = set(links.values())
-
-    def walk(start, stop_at_start):
-        chain = [start]
-        while True:
-            nxt = links.get(chain[-1])
-            if nxt is None or (stop_at_start and nxt == start) or nxt not in nodes:
-                return chain, nxt == start if nxt else False
-            if nxt in visited:
-                return chain, False
-            chain.append(nxt)
-            visited.add(nxt)
-
-    visited = set()
-    track = BranchTrack(grid=grid, window=window)
-    starts = sorted(node for node in nodes if node not in has_prev)
-    for start in starts:
-        if start in visited:
-            continue
-        visited.add(start)
-        chain, _ = walk(start, stop_at_start=False)
-        track.branches.append(_make_branch(chain, slices, weight_fn, closed=False))
-    for node in sorted(nodes):
-        if node in visited:
-            continue
-        visited.add(node)
-        chain, closed = walk(node, stop_at_start=True)
-        track.branches.append(_make_branch(chain, slices, weight_fn, closed=closed))
-    return track
-
-
-def _make_branch(chain, slices, weight_fn, closed):
-    points = []
-    for i, a in chain:
-        w = None if weight_fn is None else float(weight_fn(slices[i], a))
-        points.append(BranchPoint(i, float(slices[i].eigenvalues[a]), w))
-    return Branch(points=points, closed=closed)
+        sl_a, sl_b = slices[i], slices[(i + 1) % n]
+        pairs = []
+        for ia, ib in _link_interval(sl_a, sl_b, grid[i], ends[i], window, jump_bound,
+                                     refine_fn, _MAX_REFINE):
+            u, v = float(sl_a.eigenvalues[ia]), float(sl_b.eigenvalues[ib])
+            crosses = weight_fn is not None and (u < 0) != (v < 0)
+            w = float(np.mean([weight_fn(sl_a, ia), weight_fn(sl_b, ib)])) if crosses else None
+            pairs.append((u, v, w))
+        links.append(pairs)
+    return BranchTrack(grid, window, links)
 
 
 def crossings(track):
-    """Signed zero crossings of every branch, sorted by parameter value."""
+    """Signed zero crossings of the linked pairs, sorted by parameter value.
+
+    A pair (u, v) whose sign changes crosses at the linear interpolation
+    ``t_a + u / (u - v) * (t_b - t_a)`` of its interval, going up if v >= 0.
+    """
     found = []
-    for b_idx, branch in enumerate(track.branches):
-        pts = branch.points
-        pairs = list(zip(pts[:-1], pts[1:]))
-        if branch.closed and len(pts) > 1:
-            pairs.append((pts[-1], pts[0]))
-        for p, q in pairs:
-            u, v = p.value, q.value
-            if (u < 0) == (v < 0):
-                continue
-            t_p = track.grid[p.grid_index]
-            t_q = track.grid[q.grid_index]
-            if t_q <= t_p:
-                t_q += 2 * np.pi
-            frac = u / (u - v) if u != v else 0.5
-            t_c = (t_p + frac * (t_q - t_p)) % (2 * np.pi)
-            weights = [w for w in (p.weight, q.weight) if w is not None]
-            w_c = float(np.mean(weights)) if weights else None
-            found.append(Crossing(t=float(t_c), direction=+1 if v >= 0 else -1,
-                                  weight=w_c, branch=b_idx))
-    return sorted(found, key=lambda c: (c.t, c.branch))
+    ends = np.append(track.grid[1:], track.grid[0] + 2 * np.pi)
+    for t_a, t_b, pairs in zip(track.grid, ends, track.links):
+        for u, v, w in pairs:
+            if (u < 0) != (v < 0):
+                t_c = (t_a + u / (u - v) * (t_b - t_a)) % (2 * np.pi)
+                found.append(Crossing(float(t_c), +1 if v >= 0 else -1, w))
+    return sorted(found, key=lambda c: c.t)

@@ -173,9 +173,8 @@ def test_corner_flow_additive_under_direct_sum(models):
 def test_merged_crossing_rows_ignore_branch_order():
     """Coincident crossings merge into one row whatever their branch order,
     which follows the solver's basis of a degenerate eigenspace."""
-    raw = [Crossing(t=0.5, direction=1, weight=w, branch=b)
-           for b, w in enumerate((0.0, 1.0, 0.9, 1e-3))]
-    raw.append(Crossing(t=2.0, direction=-1, weight=None, branch=4))
+    raw = [Crossing(t=0.5, direction=1, weight=w) for w in (0.0, 1.0, 0.9, 1e-3)]
+    raw.append(Crossing(t=2.0, direction=-1, weight=None))
     rows = invariants._merge_crossings(raw)
     assert rows == invariants._merge_crossings(raw[::-1])
     assert rows[0].member_weights == (0.0, 1e-3, 0.9, 1.0)

@@ -105,23 +105,38 @@ def test_flow_oracle_reference_families():
 
 
 def test_library_tracking_agrees_with_flow_oracle():
-    """Unfiltered tracked flow equals the oracle on dense synthetic families."""
+    """Unfiltered tracked flow equals the oracle on dense synthetic families,
+    and endpoint weights are computed only for the links that cross zero."""
     from cornerlab.spectra import SpectralSlice, crossings, track_branches
 
     families = [
         lambda t: np.diag([np.sin(t), -np.sin(t)]).astype(complex),
         lambda t: np.array([[np.sin(t)]], complex),
         lambda t: np.cos(t) * sz + np.sin(t) * sx,
+        # Never leaves the window: one closed cycle, up-crossing on the wrap link.
+        lambda t: np.array([[0.3 * np.sin(t)]], complex),
     ]
     grid = (np.arange(96) + 0.5) * 2 * np.pi / 96
+    calls = []
+
+    def weight_fn(sl, i):
+        calls.append((sl.t, i))
+        return 1.0
+
     for fam in families:
         slices = []
         for t in grid:
             vals, vecs = np.linalg.eigh(fam(t))
             slices.append(SpectralSlice(vals, vecs, "synthetic", t=float(t)))
-        track = track_branches(slices, window=0.5)
-        net = sum(c.direction for c in crossings(track))
+        calls.clear()
+        found = crossings(track_branches(slices, window=0.5, weight_fn=weight_fn))
+        net = sum(c.direction for c in found)
         assert net == oracle_flow_smalls(fam)
+        assert len(calls) == 2 * len(found)
+        assert all(c.weight == 1.0 for c in found)
+    assert len(found) == 2 and net == 0
+    up = next(c.t for c in found if c.direction == 1)
+    assert min(up, 2 * np.pi - up) < 1e-9
 
 
 def _oracle_slope(text):

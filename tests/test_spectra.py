@@ -299,4 +299,4 @@ def test_tracking_refinement_resolves_fast_rotation():
         track_branches(slices, window=0.5)
     track = track_branches(slices, window=0.5, refine_fn=make)
     assert len(crossings(track)) == 0
-    assert sum(len(b.points) for b in track.branches) == 3
+    assert sum(len(pairs) for pairs in track.links) == 3

@@ -107,6 +107,12 @@ class StripFamily:
     All ``coeffs`` share the row-major flat indices ``entries``, mirrored by
     ``entries[transpose]``.  Every point is checked for Hermiticity, and its
     value does not depend on which other points are evaluated.
+
+    ``band_index`` places the entries ``lower`` (on or below the diagonal once
+    the sites are stable-sorted by strip depth) into LAPACK lower band storage
+    of shape ``(bandwidth + 1, dof)``.  A hop changes the depth by at most the
+    hopping range and each depth holds q sites of a slope p/q (one for
+    infinite slopes), so the bandwidth does not grow with W.
     """
 
     region: "geometry.LatticeRegion"
@@ -116,6 +122,9 @@ class StripFamily:
     coeffs: np.ndarray
     entries: np.ndarray
     transpose: np.ndarray
+    lower: np.ndarray
+    band_index: np.ndarray
+    bandwidth: int
 
     def _values(self, k_edge, t):
         if self.dim == 3 and t is None:
@@ -123,13 +132,17 @@ class StripFamily:
         angle = self.terms[:, 0] * k_edge - self.terms[:, 1] * (t if self.dim == 3 else 0.0)
         return (np.exp(1j * angle)[:, None] * self.coeffs).sum(axis=0)
 
-    def dense(self, k_edge, t=None):
+    def _checked_values(self, k_edge, t):
         vals = self._values(k_edge, t)
         if np.abs(vals - vals[self.transpose].conj()).max(initial=0) > ASSEMBLY_HERMITICITY_TOL:
             raise ModelError(f"assembled {self.kind} matrix is not Hermitian")
-        out = np.zeros((self.region.dof, self.region.dof), dtype=complex)
-        out.flat[self.entries] = vals
-        return out
+        return vals
+
+    def banded(self, k_edge, t=None):
+        """Lower band storage ``band[r - c, c] = A[r, c]`` of the depth-ordered strip."""
+        band = np.zeros((self.bandwidth + 1, self.region.dof), dtype=complex)
+        band.flat[self.band_index] = self._checked_values(k_edge, t)[self.lower]
+        return band
 
     def operator(self, k_edge, t=None):
         """CSR on the whole pattern, zeros kept; checked by AssembledOperator."""
@@ -146,18 +159,20 @@ def strip_family(sym, slope, which, W):
     Hops leaving the supercell along the edge re-enter with the Bloch phase
     ``exp(i k_edge j)``, j counting supercell translations; hops leaving the
     W layers are dropped (Dirichlet walls at depths 0 and W-1).  Validated as
-    one strip; geometry and pattern are built once for all ``(k_edge, t)``.
+    one strip; geometry, pattern and band layout are built once for all
+    ``(k_edge, t)``.
     """
     if sym.dim not in (2, 3):
         raise ModelError(f"edge strip expects a dim-2 or dim-3 symbol, got dim {sym.dim}")
+    region, _ = geometry.strip_region(slope, which, W, sym.norb)
     rng = max(sym.hopping_range()[:2])
     if W <= rng:
         raise GeometryError(f"W={W} must exceed the hopping range {rng}")
-    region, _ = geometry.strip_region(slope, which, W, sym.norb)
     norb, n = sym.norb, region.dof
+    sites = np.array(region.sites, dtype=np.int64)
     offsets = np.array(list(sym.hoppings), dtype=np.int64).reshape(-1, sym.dim)
     blocks = np.array(list(sym.hoppings.values()), dtype=complex).reshape(-1, norb * norb)
-    targets = np.array(region.sites, dtype=np.int64) + offsets[:, None, :2]
+    targets = sites + offsets[:, None, :2]
     depth = geometry.strip_depth(slope, which, targets)
     inside = (depth >= 0) & (depth < W)
     rep, j = geometry.reduce_to_supercell(slope, targets)
@@ -175,7 +190,15 @@ def strip_family(sym, slope, which, W):
               blocks[hop].ravel())
     kind = KIND_EDGE_ALPHA if which == geometry.ALPHA else KIND_EDGE_BETA
     mirror = np.searchsorted(entries, entries % n * n + entries // n)
-    return StripFamily(region, kind, sym.dim, terms, coeffs, entries, mirror)
+    rank = np.empty(region.n_sites, dtype=np.int64)
+    rank[np.argsort(geometry.strip_depth(slope, which, sites), kind="stable")] = np.arange(
+        region.n_sites)
+    dof_rank = (rank[:, None] * norb + np.arange(norb)).ravel()
+    band_row, band_col = dof_rank[entries // n], dof_rank[entries % n]
+    lower = band_row >= band_col
+    band_index = ((band_row - band_col) * n + band_col)[lower]
+    return StripFamily(region, kind, sym.dim, terms, coeffs, entries, mirror,
+                       lower, band_index, int((band_row - band_col).max()))
 
 
 def assemble_edge_strip(sym, slope, which, W, k_edge, t=None):
@@ -187,6 +210,7 @@ def assemble_halfline(sym, W):
     """Half-line compression of a dim-1 symbol on sites 0..W-1 (Dirichlet)."""
     if sym.dim != 1:
         raise ModelError(f"half-line assembly expects a dim-1 symbol, got dim {sym.dim}")
+    W = geometry.lattice_size("W", W)
     rng = sym.hopping_range()[0]
     if W <= rng:
         raise GeometryError(f"W={W} must exceed the hopping range {rng}")

@@ -217,6 +217,13 @@ class LatticeRegion:
         return f"LatticeRegion(n_sites={self.n_sites}, norb={self.norb})"
 
 
+def lattice_size(name, value):
+    """``value`` as an int: a Python or numpy integer of at least 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise GeometryError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _box(ms, ns):
     """All sites (m, n) with m in ``ms`` and n in ``ns``, in lexicographic order."""
     return np.stack(np.meshgrid(ms, ns, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -224,8 +231,7 @@ def _box(ms, ns):
 
 def wedge_region(pair, L, norb):
     """Corner region: the wedge of ``pair`` cut to the max-norm ball of radius L."""
-    if not isinstance(L, int) or L < 1:
-        raise GeometryError(f"L must be a positive integer, got {L!r}")
+    L = lattice_size("L", L)
     box = _box(np.arange(-L, L + 1), np.arange(-L, L + 1))
     inside = in_half_plane(pair.alpha, ALPHA, box) & in_half_plane(pair.beta, BETA, box)
     if not np.any(inside):
@@ -248,8 +254,7 @@ def strip_region(slope, which, W, norb):
     :func:`edge_supercell` tiles the full W-layer strip exactly.
     """
     _check_side(slope, which)
-    if not isinstance(W, int) or W < 1:
-        raise GeometryError(f"W must be a positive integer, got {W!r}")
+    W = lattice_size("W", W)
     if slope.infinite:
         box = _box(np.arange(1 - W, W), [0])
     else:

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import assembly, geometry, spectra
 from .errors import EigensolverError, GapClosedError, ModelError, ResidualError
@@ -271,25 +272,51 @@ def kernel_signature(sym, grading, W=40):
 # ---------------------------------------------------------------------------
 # edge gap scan
 
-def _strip_lower_bound(op):
-    """Lower bound on every |eigenvalue| a sharpened strip slice can report.
+def _strip_lower_bound(band):
+    """Lower bound on every |eigenvalue| a sharpened strip can report, and its margin.
 
-    ``op`` is an AssembledOperator or its dense matrix.  Eigenvalues only
-    (``eigvalsh``), less a margin of 1e-10 times the max absolute row sum
-    that covers the rounding gap to ``eigh`` and to sharpening's Rayleigh
-    quotients, which stay in their cluster's hull; a cluster straddling 0 gives 0.
+    ``band`` is a Hermitian strip in LAPACK lower band storage
+    (:meth:`assembly.StripFamily.banded`), reduced straight to tridiagonal
+    form for its eigenvalues only.  The margin, 1e-10 times the max absolute
+    row sum (read off the band, where it equals the dense one), covers the
+    rounding gap to ``eigh`` and to sharpening's Rayleigh quotients, which
+    stay in their cluster's hull.  The bound is the smallest |eigenvalue|
+    less the margin, or 0 when a cluster straddles 0.
     """
-    dense = op.dense() if isinstance(op, assembly.AssembledOperator) else op
     try:
-        vals = np.linalg.eigvalsh(dense)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
-    margin = 1e-10 * float(np.abs(dense).sum(axis=1).max())
+        vals = scipy.linalg.eigvals_banded(band, lower=True)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise EigensolverError(f"banded eigensolver failed: {exc}") from exc
+    mag = np.abs(band)
+    rows = mag.sum(axis=0)
+    for d in range(1, band.shape[0]):
+        rows[d:] += mag[d, :-d]
+    margin = 1e-10 * float(rows.max())
     split = np.searchsorted(vals, 0.0)
     if 0 < split < vals.size and (
             vals[split] - vals[split - 1] <= spectra.DEGENERACY_CLUSTER_TOL + margin):
-        return 0.0
-    return float(np.min(np.abs(vals))) - margin
+        return 0.0, margin
+    return float(np.min(np.abs(vals))) - margin, margin
+
+
+def _clusters_in_reach(sl, best, margin):
+    """The whole clusters of ``sl`` whose hull meets (-best - margin, best + margin).
+
+    Clusters are delimited as in :func:`spectra.sharpen_degeneracies`.  The
+    clusters left out hold only values beyond ``best`` by more than the
+    margin, and sharpening keeps each value in its cluster's hull, so they
+    cannot lower ``best``.  The kept clusters form one contiguous run, which
+    is empty when a cluster the screen saw straddling 0 came apart in ``eigh``
+    into clusters beyond the reach.
+    """
+    vals = sl.eigenvalues
+    splits = spectra.cluster_splits(vals)
+    first = np.concatenate(([0], splits))
+    last = np.concatenate((splits - 1, [vals.size - 1]))
+    meets = np.nonzero((vals[last] > -best - margin) & (vals[first] < best + margin))[0]
+    lo, hi = (first[meets[0]], last[meets[-1]] + 1) if meets.size else (0, 0)
+    return spectra.SpectralSlice(vals[lo:hi], sl.eigenvectors[:, lo:hi], sl.kind,
+                                 t=sl.t, k_edge=sl.k_edge, region=sl.region)
 
 
 def _scan_grid(grid):
@@ -311,11 +338,17 @@ def edge_gap_scan(sym, pair, W, grid=(16, 16)):
     not contaminate the minimum.  Returns ``(min_alpha, min_beta)``; a
     small value is a valid answer (the gap assumption fails), never an error.
 
-    Each side evaluates one :func:`assembly.strip_family`.  An eigenvalue-only
-    screen bounds each strip from below (``_strip_lower_bound``); strips take
-    the full path (``eigh`` with residual check, sharpening, weights) in
-    ascending bound until it reaches the running minimum.  Skipped strips
-    are not residual-checked; the minima always come from checked pairs.
+    Each side evaluates one :func:`assembly.strip_family` and screens every
+    strip with eigenvalues only, from its lower band storage in strip-depth
+    order (``_strip_lower_bound``): a hop changes the depth by at most the
+    hopping range, so the band is set by that range and the supercell width
+    q, not by W.  Strips then take the full path (``eigh`` with residual
+    check, sharpening, weights) in ascending bound until the bound reaches
+    the running minimum ``best``.  Once ``best`` is finite, only the whole
+    degenerate clusters whose hull meets (-best - m, best + m), m the
+    screen's margin, are sharpened and weighed; the rest cannot lower it.
+    Skipped strips are not residual-checked; the minima always come from
+    checked pairs.
     """
     if sym.dim != 3:
         raise ModelError(f"edge gap scan needs a dim-3 symbol, got dim {sym.dim}")
@@ -329,18 +362,18 @@ def edge_gap_scan(sym, pair, W, grid=(16, 16)):
 
         family = assembly.strip_family(sym, slope, which, W)
         screen = sorted(
-            ((_strip_lower_bound(family.dense(k_edge, t)), k_edge, t)
+            (_strip_lower_bound(family.banded(k_edge, t)) + (k_edge, t)
              for k_edge in k_vals for t in t_vals),
             key=lambda row: row[0])
         best = fallback = math.inf
-        for bound, k_edge, t in screen:
+        for bound, margin, k_edge, t in screen:
             if bound >= best:
                 break
             op = family.operator(k_edge, t)
-            sl = spectra.diagonalize(op)
+            sl = _clusters_in_reach(spectra.diagonalize(op), best, margin)
             sl = spectra.sharpen_degeneracies(sl, near, matrix=op.matrix)
             absvals = np.abs(sl.eigenvalues)
-            fallback = min(fallback, float(np.min(absvals)))
+            fallback = min(fallback, float(np.min(absvals, initial=math.inf)))
             eligible = spectra.all_weights(sl, near) >= NEAR_WALL_WEIGHT_MIN
             if np.any(eligible):
                 best = min(best, float(np.min(absvals[eligible])))
@@ -476,6 +509,7 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None,
     """
     if sym.dim != 3:
         raise ModelError(f"corner flow needs a dim-3 symbol, got dim {sym.dim}")
+    L = geometry.lattice_size("L", L)
     gap_a, gap_b = edge_gap_scan(sym, pair, _FLOW_EDGE_W, _FLOW_EDGE_GRID)
     min_gap = min(gap_a, gap_b)
     if min_gap <= _EDGE_GAP_FLOOR:
@@ -648,6 +682,7 @@ def compute_report(sym, pair, *, W=40, edge_grid=(16, 16), L=24, n_t=64,
     Fredholm family.  When ``factors`` is given as ``(h1, h2, grading)``
     the factor invariants and the bulk-edge pair are computed as well.
     """
+    W, L = geometry.lattice_size("W", W), geometry.lattice_size("L", L)
     edge_grid = _scan_grid(edge_grid)
     gap_a, gap_b = edge_gap_scan(sym, pair, W, edge_grid)
     provenance = {

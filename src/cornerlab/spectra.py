@@ -189,6 +189,12 @@ def all_weights(sl, mask):
     return (mvec @ dens) / np.sum(dens, axis=0)
 
 
+def cluster_splits(vals):
+    """Start of every cluster but the first in ascending ``vals``: the indices
+    whose gap to the previous value exceeds ``DEGENERACY_CLUSTER_TOL``."""
+    return np.nonzero(np.diff(vals) > DEGENERACY_CLUSTER_TOL)[0] + 1
+
+
 def sharpen_degeneracies(sl, mask, matrix=None):
     """Rotate near-degenerate eigenvector clusters to a localization basis.
 
@@ -206,9 +212,8 @@ def sharpen_degeneracies(sl, mask, matrix=None):
     vals = sl.eigenvalues.copy()
     vecs = sl.eigenvectors.copy()
     mvec = mask_vector(sl.region, mask)
-    splits = np.nonzero(np.diff(vals) > DEGENERACY_CLUSTER_TOL)[0] + 1
     changed = False
-    for cluster in np.split(np.arange(vals.size), splits):
+    for cluster in np.split(np.arange(vals.size), cluster_splits(vals)):
         if cluster.size < 2:
             continue
         block, _ = np.linalg.qr(vecs[:, cluster])

@@ -37,6 +37,8 @@ def _as_block(norb, raw, where):
     blk = np.asarray(raw, dtype=complex)
     if blk.shape != (norb, norb):
         raise ModelError(f"{where}: block shape {blk.shape}, expected ({norb}, {norb})")
+    if not np.all(np.isfinite(blk)):
+        raise ModelError(f"{where}: block has a non-finite entry")
     blk = blk.copy()
     blk.flags.writeable = False
     return blk
@@ -52,7 +54,8 @@ class HamiltonianSymbol:
     norb : int
         Number of orbitals per site.
     hoppings : mapping
-        ``{offset tuple: (norb, norb) array}``.  Every offset must have
+        ``{offset tuple: (norb, norb) array}`` of finite entries (a NaN or
+        an infinity raises ModelError).  Every offset must have
         its Hermitian partner present with ``h_{-r} == h_r^dagger`` to
         within ``HERMITICITY_TOL`` entrywise; blocks that are exactly
         zero may be omitted entirely.
@@ -143,6 +146,8 @@ class ChiralGrading:
         pi = np.asarray(self.matrix, dtype=complex)
         if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
             raise ModelError("grading must be a square matrix")
+        if not np.all(np.isfinite(pi)):
+            raise ModelError("grading has a non-finite entry")
         if np.max(np.abs(pi - pi.conj().T)) > HERMITICITY_TOL:
             raise ModelError("grading is not Hermitian")
         if np.max(np.abs(pi @ pi - np.eye(pi.shape[0]))) > 1e-10:

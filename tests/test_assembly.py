@@ -1,5 +1,6 @@
 """Real-space assembly: bulk fibers, half-lines, edge strips, corners."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -154,10 +155,29 @@ STRIP_SIDES = (("0", "alpha"), ("0", "beta"), ("1/2", "alpha"), ("1/2", "beta"),
                ("-3/2", "alpha"), ("-3/2", "beta"), ("inf", "beta"), ("-inf", "alpha"))
 
 
+def _depth_order(sites, exact, which):
+    """Stable order of lexicographic ``sites`` by layer depth from the boundary."""
+    def depth(site):
+        m, n = site
+        if abs(exact) == math.inf:
+            return abs(m)
+        return n - math.ceil(exact * m) if which == "alpha" else math.floor(exact * m) - n
+    return sorted(range(len(sites)), key=lambda i: depth(sites[i]))
+
+
+def _lower_band(h, bandwidth):
+    """LAPACK lower band storage ``band[d, c] = h[c + d, c]`` of a dense matrix."""
+    band = np.zeros((bandwidth + 1, h.shape[0]), dtype=complex)
+    for d in range(bandwidth + 1):
+        band[d, :h.shape[0] - d] = np.diagonal(h, -d)
+    return band
+
+
 @pytest.mark.parametrize("name", ["product_example", "h1_example"])
 def test_strip_family_matches_site_pair_oracle(name):
-    """Every (k_edge, t) of a family equals the dense site-pair oracle, and
-    assembling one strip gives exactly the family's value at that point."""
+    """Every (k_edge, t) of a family equals the dense site-pair oracle, both
+    as an operator in lexicographic site order and as lower band storage in
+    depth order, and assembling one strip gives the family's operator."""
     sym = builtin_models()[name].symbol
     ks = (0.0, 1.1, 4.4)
     ts = (0.0, 2.3, 5.9) if sym.dim == 3 else (None,)
@@ -167,13 +187,33 @@ def test_strip_family_matches_site_pair_oracle(name):
         family = strip_family(sym, slope, which, 5)
         for k_edge in ks:
             for t in ts:
-                got = family.dense(k_edge, t)
                 sites, want = oracle_strip_matrix(sym, exact, which, 5, k_edge, t)
                 assert list(family.region.sites) == sites
-                assert np.max(np.abs(got - want)) <= 1e-14
+                got = family.operator(k_edge, t)
+                assert np.max(np.abs(got.dense() - want)) <= 1e-14
+                dof = (np.array(_depth_order(sites, exact, which))[:, None] * sym.norb
+                       + np.arange(sym.norb)).ravel()
+                in_depth_order = want[np.ix_(dof, dof)]
+                assert not np.any(np.tril(in_depth_order, -family.bandwidth - 1))
+                want_band = _lower_band(in_depth_order, family.bandwidth)
+                assert np.max(np.abs(family.banded(k_edge, t) - want_band)) <= 1e-14
                 op = assemble_edge_strip(sym, slope, which, 5, k_edge, t=t)
-                assert np.array_equal(op.dense(), got)
+                assert np.array_equal(op.dense(), got.dense())
                 assert (op.k_edge, op.t) == (k_edge, t)
+
+
+@pytest.mark.parametrize("text, which", [
+    ("0", "alpha"), ("0", "beta"), ("1/2", "alpha"), ("1/2", "beta"), ("-3/2", "alpha"),
+    ("-3/2", "beta"), ("2/5", "alpha"), ("2/5", "beta"), ("inf", "beta"), ("-inf", "alpha")])
+def test_strip_bandwidth_does_not_grow_with_depth(text, which):
+    """In depth order a hop spans at most range + 1 layers of q sites, so the
+    band of a strip is the same at W=10 and W=40 and stays well below n."""
+    sym = builtin_models()["product_example"].symbol
+    slope = Slope.parse(text)
+    shallow, deep = (strip_family(sym, slope, which, W) for W in (10, 40))
+    q = 1 if slope.infinite else slope.q
+    assert shallow.bandwidth == deep.bandwidth < 2 * (q + 1) * sym.norb
+    assert deep.bandwidth < deep.region.dof // 4
 
 
 def test_strip_family_checks_every_point_for_hermiticity():
@@ -184,8 +224,8 @@ def test_strip_family_checks_every_point_for_hermiticity():
     family.coeffs[:, off_diagonal] += 1e-9
     for k_edge, t in ((0.0, 0.0), (0.7, 2.1)):
         with pytest.raises(ModelError, match="not Hermitian"):
-            family.dense(k_edge, t)
+            family.banded(k_edge, t)
         with pytest.raises(ModelError, match="not Hermitian"):
             family.operator(k_edge, t)
     with pytest.raises(ModelError, match="parameter value t"):
-        family.dense(0.0)
+        family.banded(0.0)

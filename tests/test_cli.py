@@ -104,6 +104,21 @@ def test_unknown_model_exits_2(tmp_path, capsys):
     assert err["error"]["type"] == "ModelError"
 
 
+def test_non_finite_model_file_exits_2(tmp_path, capsys):
+    """A NaN on-site entry is refused when the file is loaded, before any
+    band is computed from it."""
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"dim": 1, "norb": 1, "hoppings": '
+                   '[{"offset": [0], "block": [[[NaN, 0]]]}]}')
+    assert run("bulk-spectrum", "--model", str(bad), "--out", str(tmp_path)) == 2
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"]["type"] == "ModelError"
+    assert "non-finite" in err["error"]["message"]
+    assert not (tmp_path / "bulk_spectrum.csv").exists()
+
+
 def test_model_flag_xor(tmp_path, capsys):
     assert run("edge-gap") == 2
     capsys.readouterr()

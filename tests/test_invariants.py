@@ -7,7 +7,16 @@ import pytest
 import scipy.sparse as sp
 
 import cornerlab as cl
-from cornerlab import GapClosedError, ModelError, geometry, invariants, spectra, symbol
+from cornerlab import (
+    GapClosedError,
+    GeometryError,
+    ModelError,
+    assembly,
+    geometry,
+    invariants,
+    spectra,
+    symbol,
+)
 from cornerlab.assembly import AssembledOperator
 from cornerlab.geometry import Slope, SlopePair
 from cornerlab.spectra import Crossing
@@ -142,10 +151,48 @@ def test_strip_bound_covers_sharpened_cluster_straddling_zero():
     sl = spectra.sharpen_degeneracies(
         spectra.diagonalize(op), lambda site: site[0] == 0, matrix=op.matrix)
     assert np.min(np.abs(sl.eigenvalues)) < 1e-12
-    assert invariants._strip_lower_bound(op) == 0.0
-    gapped = AssembledOperator(
-        sp.diags(np.array([-0.3, 0.2, 0.2 + 5e-5, 2.0], complex), format="csr"), "test")
-    assert invariants._strip_lower_bound(gapped) == pytest.approx(0.2 - 2e-10, abs=1e-15)
+    band = np.array([[0, 0, 1.0], [4e-5, 0, 0]], complex)
+    assert invariants._strip_lower_bound(band) == (0.0, 1e-10)
+    gapped = np.array([[-0.3, 0.2, 0.2 + 5e-5, 2.0]], complex)
+    bound, margin = invariants._strip_lower_bound(gapped)
+    assert bound == pytest.approx(0.2 - 2e-10, abs=1e-15)
+    assert margin == pytest.approx(2e-10, abs=1e-20)
+
+
+def test_strip_bound_margin_is_the_dense_row_sum():
+    """The margin reads the max absolute row sum of the Hermitian matrix off
+    its lower band storage, the upper triangle included."""
+    family = assembly.strip_family(
+        builtin_models()["product_example"].symbol, Slope.rational(1, 2), "beta", 8)
+    band = family.banded(0.7, 2.1)
+    dense = family.operator(0.7, 2.1).dense()
+    _, margin = invariants._strip_lower_bound(band)
+    assert margin == pytest.approx(1e-10 * np.abs(dense).sum(axis=1).max(), rel=1e-12)
+
+
+def _cluster_slice(vals):
+    vals = np.asarray(vals, dtype=float)
+    return spectra.SpectralSlice(vals, np.eye(vals.size, dtype=complex), "test")
+
+
+def test_partial_sharpening_keeps_whole_clusters_in_reach():
+    """After the first strip only the clusters whose hull meets
+    (-best - margin, best + margin) are sharpened: a cluster straddling 0
+    is kept even when both its ends lie beyond that reach, and so is a
+    cluster that only the margin brings into it; clusters are never cut."""
+    chain = np.arange(-30, 31) * 9e-5            # one cluster from -2.7e-3 to 2.7e-3
+    sl = _cluster_slice(np.concatenate(([-1.0], chain, [0.5])))
+    kept = invariants._clusters_in_reach(sl, 1e-3, 1e-10).eigenvalues
+    assert np.array_equal(kept, chain)
+    best, margin = 0.5, 1e-8
+    inside = [best + margin / 2, best + margin / 2 + 9e-5]
+    sl = _cluster_slice([-0.7, -best - 2 * margin, 0.2, 0.2 + 5e-5] + inside + [0.7])
+    kept = invariants._clusters_in_reach(sl, best, margin).eigenvalues
+    assert np.array_equal(kept, [0.2, 0.2 + 5e-5] + inside)
+    assert np.array_equal(invariants._clusters_in_reach(sl, np.inf, margin).eigenvalues,
+                          sl.eigenvalues)
+    assert invariants._clusters_in_reach(_cluster_slice([-0.6, 0.6]), 0.5, margin) \
+        .eigenvalues.size == 0
 
 
 def test_corner_flow_refuses_uncertified_family(models):
@@ -253,3 +300,35 @@ def test_compute_report_skips_corner_on_gapless_edge(models):
     assert report.corner_sf is None
     assert "not Fredholm" in report.provenance["corner_skipped"]
     assert report.weak == (0, 0, 1)
+
+
+def _size_entry_points(models):
+    """Each public entry point with one lattice size left free, as a function
+    of that size returning a comparable value."""
+    prod = models["product_example"].symbol
+    h1, h2 = models["h1_example"].symbol, models["h2_example"].symbol
+    grading = models["h2_example"].grading
+    return {
+        "edge_gap_scan": lambda n: cl.edge_gap_scan(prod, PAIR, n, (2, 2)),
+        "corner_spectral_flow": lambda n: cl.corner_spectral_flow(prod, PAIR, n, n_t=8)[0],
+        "compute_report_W": lambda n: cl.compute_report(
+            prod, PAIR, W=n, edge_grid=2, L=8, n_t=8).to_json(),
+        "compute_report_L": lambda n: cl.compute_report(
+            prod, PAIR, W=8, edge_grid=2, L=n, n_t=8).to_json(),
+        "kernel_signature": lambda n: cl.kernel_signature(h2, grading, W=n),
+        "edge_spectral_flow": lambda n: cl.edge_spectral_flow(h1, W=n, n_t=8),
+        "assemble_halfline": lambda n: assembly.assemble_halfline(h2, n).dense().tobytes(),
+    }
+
+
+@pytest.mark.parametrize("entry", ["edge_gap_scan", "corner_spectral_flow", "compute_report_W",
+                                   "compute_report_L", "kernel_signature", "edge_spectral_flow",
+                                   "assemble_halfline"])
+def test_lattice_sizes_are_checked_one_way(models, entry):
+    """A numpy integer size works like the Python int (and a report records
+    it as one); a float or a bool size is refused with GeometryError."""
+    run = _size_entry_points(models)[entry]
+    assert run(np.int64(8)) == run(8)
+    for bad in (8.0, 12.5, True):
+        with pytest.raises(GeometryError, match="must be a positive integer"):
+            run(bad)

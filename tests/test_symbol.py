@@ -43,6 +43,20 @@ def test_onsite_block_must_be_hermitian():
         HamiltonianSymbol(1, 1, {(0,): np.array([[1j]])})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_entries_rejected(bad):
+    """NaN fails every comparison, the partner and involution checks included,
+    so a non-finite entry is refused explicitly: on-site, in a hopping pair,
+    or in a grading (where it would make kernel_signature return 0)."""
+    with pytest.raises(ModelError, match="non-finite"):
+        HamiltonianSymbol(1, 1, {(0,): np.array([[bad]])})
+    hop = np.array([[0.5, bad], [0.0, 0.5]], dtype=complex)
+    with pytest.raises(ModelError, match="non-finite"):
+        HamiltonianSymbol(1, 2, {(1,): hop, (-1,): hop.conj().T})
+    with pytest.raises(ModelError, match="non-finite"):
+        ChiralGrading(np.diag([bad, -1.0]))
+
+
 def test_zero_blocks_dropped():
     sym = HamiltonianSymbol(2, 2, {(0, 0): sz, (1, 0): 0 * sx, (-1, 0): 0 * sx})
     assert sym.offsets() == [(0, 0)]

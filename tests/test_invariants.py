@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 import cornerlab as cl
 from cornerlab import (
+    EigensolverError,
     GapClosedError,
     GeometryError,
     ModelError,
@@ -168,6 +169,11 @@ def test_strip_bound_margin_is_the_dense_row_sum():
     dense = family.operator(0.7, 2.1).dense()
     _, margin = invariants._strip_lower_bound(band)
     assert margin == pytest.approx(1e-10 * np.abs(dense).sum(axis=1).max(), rel=1e-12)
+
+
+def test_strip_bound_refuses_a_band_the_solver_cannot_take():
+    with pytest.raises(EigensolverError, match="banded eigensolver"):
+        invariants._strip_lower_bound(np.array([[np.nan, 1.0, 2.0]], complex))
 
 
 def _cluster_slice(vals):

@@ -15,6 +15,7 @@ residual check) or raises.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -38,7 +39,33 @@ _FLUX_CEILING = 0.99 * np.pi
 
 
 class _RefineNeeded(Exception):
-    """Internal: the grid is too coarse; retry once at double resolution."""
+    """Internal: the resolution is too coarse; retry once at double resolution."""
+
+
+def _refined(value_at, n, what):
+    """``value_at(n)``, else ``value_at(2 n)``, else ResidualError.
+
+    ``value_at(m)`` returns a certified result at resolution m or raises
+    _RefineNeeded; this is the one place a resolution is refined.
+    """
+    try:
+        return value_at(n)
+    except _RefineNeeded as exc:
+        first = exc
+    try:
+        return value_at(2 * n)
+    except _RefineNeeded as exc:
+        raise ResidualError(
+            f"{what} not certified at {n} ({first}) or at {2 * n} ({exc})") from exc
+
+
+def _integer(total, m):
+    """``(integer, residual, m)`` for a sum that must be integral at resolution m."""
+    total = float(total)
+    residual = abs(total - round(total))
+    if residual > INT_RESIDUAL_TOL:
+        raise _RefineNeeded(f"residual {residual:.2e}")
+    return int(round(total)), residual, m
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +76,9 @@ def _bloch_grid(sym, axes, n):
 
     The remaining axes sit at 0.  Returns ``k`` of shape
     ``(n, ..., n, dim)`` and the matching ``(n, ..., n, norb, norb)`` stack.
+    ``n`` is checked like a lattice size.
     """
+    n = geometry.lattice_size("grid", n)
     ks = 2 * np.pi * np.arange(n) / n
     k = np.zeros((n,) * len(axes) + (sym.dim,))
     grids = np.meshgrid(*([ks] * len(axes)), indexing="ij")
@@ -76,13 +105,13 @@ def _fermi_rank(vals, k):
 
 
 def _c1_field_strength(sym, axes, n):
-    """Berry flux sum of the Fermi projection over an n x n grid of ``axes``.
+    """First Chern number of the Fermi projection on an n x n grid of ``axes``.
 
     Plaquette fluxes are principal-branch logs of the four-link Wilson
     loop; their sum over the whole grid divided by 2 pi is exactly
     integral whenever every plaquette is admissible (|flux| < pi), which
     is what makes this a reliable integer pipeline rather than a
-    quadrature.
+    quadrature.  Returns ``_integer``'s triple.
     """
     k, h = _bloch_grid(sym, axes, n)
     vals, vecs = np.linalg.eigh(h)
@@ -99,29 +128,13 @@ def _c1_field_strength(sym, axes, n):
     flux = np.angle(loop)
     if np.max(np.abs(flux)) >= _FLUX_CEILING:
         raise _RefineNeeded("inadmissible plaquette flux")
-    return float(np.sum(flux) / (2 * np.pi))
-
-
-def _c1_int(sym, axes, n, what):
-    """Field-strength c1 with integrality certificate; auto-refines once."""
-    reason = None
-    for m in (n, 2 * n):
-        try:
-            total = _c1_field_strength(sym, axes, m)
-        except _RefineNeeded as exc:
-            reason = str(exc)
-            continue
-        residual = abs(total - round(total))
-        if residual <= INT_RESIDUAL_TOL:
-            return int(round(total)), residual, m
-        reason = f"residual {residual:.2e}"
-    raise ResidualError(f"{what}: not integral after refining to {2 * n}^2 ({reason})")
+    return _integer(np.sum(flux) / (2 * np.pi), n)
 
 
 def _chern_detail(sym, grid):
     if sym.dim != 2:
         raise ModelError(f"Chern number needs a dim-2 symbol, got dim {sym.dim}")
-    return _c1_int(sym, (0, 1), grid, "Chern number")
+    return _refined(partial(_c1_field_strength, sym, (0, 1)), grid, "Chern number")
 
 
 def chern_number(sym, grid=40):
@@ -132,9 +145,11 @@ def chern_number(sym, grid=40):
     Brillouin mesh; the invariant returned is -c1, matching the relation
     between the TKNN number and the edge flow used throughout.
 
-    Raises GapClosedError if the Bloch gap at zero closes on the mesh,
-    and ResidualError if the flux sum is not integral even after one
-    automatic grid doubling.
+    ``grid`` must be an integer of at least 1 (GeometryError otherwise).
+    A grid with a near-singular link, an inadmissible plaquette flux or a
+    non-integral flux sum is refined once to ``2 grid``; if that grid fails
+    too, ResidualError is raised.  GapClosedError is raised if the Bloch
+    gap at zero closes on the mesh.
     """
     value, _, _ = _chern_detail(sym, grid)
     return -value
@@ -160,22 +175,24 @@ def _winding_detail(sym, grading, grid):
     if sym.dim != 1:
         raise ModelError(f"winding number needs a dim-1 symbol, got dim {sym.dim}")
     u, n_plus = _grading_frame(sym, grading)
-    reason = None
-    for m in (grid, 2 * grid):
+    rate = _parameter_rate(sym, 0)
+
+    def value_at(m):
         k, h = _bloch_grid(sym, (0,), m)
         q = (u.conj().T @ h @ u)[:, :n_plus, n_plus:]
-        _check_gap(np.linalg.svd(q, compute_uv=False)[:, -1], k)
+        sigma = np.linalg.svd(q, compute_uv=False)[:, -1]
+        _check_gap(sigma, k)
+        # Between samples sigma_min(q) stays above sigma_lo - rate dk / 2
+        # (Weyl), and |d arg det q / dk| <= n_plus rate / sigma_min(q), so
+        # every principal-branch step below is the true phase change.
+        dk = 2 * np.pi / m
+        sigma_lo = np.minimum(sigma, np.roll(sigma, -1))
+        if not np.all(n_plus * rate * dk < np.pi * (sigma_lo - rate * dk / 2)):
+            raise _RefineNeeded("phase steps not certified below pi")
         dets = np.linalg.det(q)
-        steps = np.angle(np.roll(dets, -1) / dets)
-        if np.max(np.abs(steps)) >= _FLUX_CEILING:
-            reason = "phase step too large"
-            continue
-        total = float(np.sum(steps) / (2 * np.pi))
-        residual = abs(total - round(total))
-        if residual <= INT_RESIDUAL_TOL:
-            return int(round(total)), residual, m
-        reason = f"residual {residual:.2e}"
-    raise ResidualError(f"winding number: not integral after refining ({reason})")
+        return _integer(np.sum(np.angle(np.roll(dets, -1) / dets)) / (2 * np.pi), m)
+
+    return _refined(value_at, grid, "winding number")
 
 
 def winding_number(sym, grading, grid=256):
@@ -186,24 +203,37 @@ def winding_number(sym, grading, grid=256):
     accumulated around the Brillouin circle and the invariant is its
     minus.  Unequal grading blocks are rejected before any spectral
     check, since the determinant is undefined in that case.
+
+    ``grid`` must be an integer of at least 1 (GeometryError otherwise).
+    Each phase step is certified below pi: with ``rate`` the sum of
+    |offset| times the norm of each hopping block, ``dk = 2 pi / grid`` and
+    sigma_lo the smaller least singular value of the block at the step's
+    ends, ``n_plus rate dk < pi (sigma_lo - rate dk / 2)`` must hold on every
+    step.  A grid where it fails, or where the sum is not integral, is
+    refined once to ``2 grid``; if that fails too, ResidualError is raised.
     """
     value, _, _ = _winding_detail(sym, grading, grid)
     return -value
 
 
 def _bulk_gap_on_grid(sym, n):
-    """Smallest |eigenvalue| of the Bloch matrix over a full n^dim mesh."""
-    _, h = _bloch_grid(sym, range(sym.dim), n)
-    return float(np.min(np.abs(np.linalg.eigvalsh(h))))
+    """Smallest |eigenvalue| of the Bloch matrix over a full n^dim mesh, refused if it closes."""
+    k, h = _bloch_grid(sym, range(sym.dim), n)
+    gaps = np.min(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    _check_gap(gaps, k)
+    return float(np.min(gaps))
 
 
 def _halfline_kernel_states(sym, grading, W):
-    """Near-kernel of the half-line compression, attributed to the near wall.
+    """Grading form on the near-kernel of the half-line compression.
 
-    Returns (signature_form_matrix, None) on success or (None, reason) if
-    some near-zero state cannot be attributed to either wall at this W.
+    Raises _RefineNeeded if W is below twice the hopping range, where the
+    near half reaches into the far wall's kernel, or if some near-zero state
+    cannot be attributed to either wall at this W.
     """
     op = assembly.assemble_halfline(sym, W)
+    if W < 2 * sym.hopping_range()[0]:
+        raise _RefineNeeded("W is below twice the hopping range")
     sl = spectra.diagonalize(op)
 
     def near(site):
@@ -211,22 +241,14 @@ def _halfline_kernel_states(sym, grading, W):
 
     sl = spectra.sharpen_degeneracies(sl, near, matrix=op.matrix)
     idx = np.nonzero(np.abs(sl.eigenvalues) < KERNEL_TOL)[0]
-    if idx.size == 0:
-        return np.zeros((0, 0)), None
     weights = spectra.all_weights(sl, near)[idx]
     ambiguous = (weights > 1 - KERNEL_WEIGHT_MIN) & (weights < KERNEL_WEIGHT_MIN)
     if np.any(ambiguous):
-        return None, (
-            f"{int(np.sum(ambiguous))} near-zero state(s) spread across both "
-            f"walls at W={W}"
-        )
-    kept = idx[weights >= KERNEL_WEIGHT_MIN]
-    if kept.size == 0:
-        return np.zeros((0, 0)), None
-    v = sl.eigenvectors[:, kept]
-    pi_full = np.kron(np.eye(W), grading.matrix)
-    form = v.conj().T @ pi_full @ v
-    return 0.5 * (form + form.conj().T), None
+        raise _RefineNeeded(f"{int(np.sum(ambiguous))} near-zero state(s) spread "
+                            "across both walls")
+    v = sl.eigenvectors[:, idx[weights >= KERNEL_WEIGHT_MIN]]
+    form = v.conj().T @ np.kron(np.eye(W), grading.matrix) @ v
+    return 0.5 * (form + form.conj().T)
 
 
 def kernel_signature(sym, grading, W=40):
@@ -240,23 +262,19 @@ def kernel_signature(sym, grading, W=40):
     form restricted to that span, which is the orientation that makes
     the bulk-edge identity with :func:`winding_number` an equality.
 
-    If a near-zero state straddles both walls, W is doubled once; if the
-    ambiguity persists a ResidualError is raised.
+    ``W`` must be an integer of at least 1 that exceeds the hopping range
+    (GeometryError otherwise).  If W is below twice the hopping range, or
+    a near-zero state straddles both walls, W is doubled once; if the
+    doubled W fails too, ResidualError is raised.  A Bloch gap closing on
+    a 64-point grid raises GapClosedError.
     """
+    W = geometry.lattice_size("W", W)
     if sym.dim != 1:
         raise ModelError(f"kernel signature needs a dim-1 symbol, got dim {sym.dim}")
     if not check_chiral(sym, grading):
         raise ModelError("grading does not anticommute with the symbol")
-    gap = _bulk_gap_on_grid(sym, 64)
-    if gap <= GAP_FLOOR:
-        raise GapClosedError(f"bulk gap at 0 closes ({gap:.2e}); kernel ill-defined")
-    form, reason = _halfline_kernel_states(sym, grading, W)
-    if form is None:
-        form, reason = _halfline_kernel_states(sym, grading, 2 * W)
-    if form is None:
-        raise ResidualError(
-            f"half-line kernel not certifiable: {reason} even after doubling"
-        )
+    _bulk_gap_on_grid(sym, 64)
+    form = _refined(partial(_halfline_kernel_states, sym, grading), W, "half-line kernel")
     if form.shape[0] == 0:
         return 0
     chis = np.linalg.eigvalsh(form)
@@ -322,7 +340,8 @@ def _clusters_in_reach(sl, best, margin):
 def _scan_grid(grid):
     """``(nk, nt)`` from an int n (meaning ``(n, n)``) or a tuple of two ints >= 1."""
     nk, nt = grid if isinstance(grid, tuple) else (grid, grid)
-    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (nk, nt)):
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+               for n in (nk, nt)):
         raise ModelError(f"edge scan grid sizes must be integers >= 1, got {grid!r}")
     return int(nk), int(nt)
 
@@ -486,7 +505,8 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None,
     L : int
         Truncation radius of the corner region (max norm).
     n_t : int
-        Closed t-grid size; samples sit at half-step offsets.
+        Closed t-grid size, an integer of at least 1 (GeometryError
+        otherwise); samples sit at half-step offsets.
     window : float, optional
         Tracking half-width.  Default: 0.45 times the smaller edge gap.
     threshold : float
@@ -509,7 +529,7 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None,
     """
     if sym.dim != 3:
         raise ModelError(f"corner flow needs a dim-3 symbol, got dim {sym.dim}")
-    L = geometry.lattice_size("L", L)
+    L, n_t = geometry.lattice_size("L", L), geometry.lattice_size("n_t", n_t)
     gap_a, gap_b = edge_gap_scan(sym, pair, _FLOW_EDGE_W, _FLOW_EDGE_GRID)
     min_gap = min(gap_a, gap_b)
     if min_gap <= _EDGE_GAP_FLOOR:
@@ -562,13 +582,15 @@ def edge_spectral_flow(sym, W=40, n_t=64):
     (weight >= 0.6 within depth W/2) are tracked inside a window of 0.45
     times the bulk gap and counted over the circle.  Cross-check partner
     of :func:`chern_number`: the flow equals minus that invariant.
+
+    ``W`` and ``n_t`` must be integers of at least 1 (GeometryError
+    otherwise), so the ``n_t`` samples close the circle.  A Bloch gap
+    closing on a 32 x 32 grid raises GapClosedError.
     """
     if sym.dim != 2:
         raise ModelError(f"edge flow needs a dim-2 symbol, got dim {sym.dim}")
-    gap = _bulk_gap_on_grid(sym, 32)
-    if gap <= GAP_FLOOR:
-        raise GapClosedError(f"bulk gap closes ({gap:.2e}); no tracking window")
-    window = 0.45 * gap
+    n_t = geometry.lattice_size("n_t", n_t)
+    window = 0.45 * _bulk_gap_on_grid(sym, 32)
 
     def near(site):
         return site[0] < W / 2
@@ -602,7 +624,8 @@ def weak_invariants(sym, grid=20):
     if sym.dim != 3:
         raise ModelError(f"weak invariants need a dim-3 symbol, got dim {sym.dim}")
     return tuple(
-        _c1_int(sym, (a, b), grid, f"weak invariant on axes ({a},{b})")[0]
+        _refined(partial(_c1_field_strength, sym, (a, b)), grid,
+                 f"weak invariant on axes ({a},{b})")[0]
         for a, b in ((0, 1), (0, 2), (1, 2))
     )
 
@@ -681,8 +704,10 @@ def compute_report(sym, pair, *, W=40, edge_grid=(16, 16), L=24, n_t=64,
     exceed the edge-gap floor 0.1, since the flow is only defined for a
     Fredholm family.  When ``factors`` is given as ``(h1, h2, grading)``
     the factor invariants and the bulk-edge pair are computed as well.
+    ``W``, ``L``, ``n_t`` and ``edge_grid`` are checked before any work.
     """
     W, L = geometry.lattice_size("W", W), geometry.lattice_size("L", L)
+    n_t = geometry.lattice_size("n_t", n_t)
     edge_grid = _scan_grid(edge_grid)
     gap_a, gap_b = edge_gap_scan(sym, pair, W, edge_grid)
     provenance = {

@@ -12,6 +12,7 @@ from cornerlab import (
     GapClosedError,
     GeometryError,
     ModelError,
+    ResidualError,
     assembly,
     geometry,
     invariants,
@@ -72,6 +73,9 @@ def test_kernel_signature_values_and_w_independence(models):
     ds = models["h2_double_shift"].symbol
     assert cl.kernel_signature(h2, g, W=20) == cl.kernel_signature(h2, g, W=40) == -1
     assert cl.kernel_signature(ds, g, W=20) == cl.kernel_signature(ds, g, W=40) == -2
+    # Below twice the hopping range the near half reaches the far wall's
+    # kernel, so W=3 is refined to 6.
+    assert cl.kernel_signature(ds, g, W=3) == -2
     trivial = HamiltonianSymbol(1, 2, {(0,): np.array([[0, 1], [1, 0]], complex)})
     assert cl.kernel_signature(trivial, g) == 0
 
@@ -114,7 +118,7 @@ def test_edge_gap_scan_flags_gapless_stacked_edge(models):
         cl.edge_gap_scan(qwz_model(-1.0), PAIR, 16, (6, 6))
 
 
-@pytest.mark.parametrize("grid", [(0, 0), (0, 4), 0, (-1, 3)])
+@pytest.mark.parametrize("grid", [(0, 0), (0, 4), 0, (-1, 3), True, (True, 4)])
 def test_edge_gap_scan_refuses_empty_grid(models, grid, monkeypatch):
     """An empty grid would report an infinite gap; it is refused instead,
     and the report refuses it before any scan or invariant runs."""
@@ -324,17 +328,74 @@ def _size_entry_points(models):
         "kernel_signature": lambda n: cl.kernel_signature(h2, grading, W=n),
         "edge_spectral_flow": lambda n: cl.edge_spectral_flow(h1, W=n, n_t=8),
         "assemble_halfline": lambda n: assembly.assemble_halfline(h2, n).dense().tobytes(),
+        "corner_spectral_flow_n_t": lambda n: cl.corner_spectral_flow(prod, PAIR, 8, n_t=n)[0],
+        "edge_spectral_flow_n_t": lambda n: cl.edge_spectral_flow(h1, W=12, n_t=n),
+        "compute_report_n_t": lambda n: cl.compute_report(
+            prod, PAIR, W=8, edge_grid=2, L=8, n_t=n).to_json(),
+        "chern_number": lambda n: cl.chern_number(h1, n),
+        "winding_number": lambda n: cl.winding_number(h2, grading, n),
+        "weak_invariants": lambda n: cl.weak_invariants(prod, n),
     }
 
 
 @pytest.mark.parametrize("entry", ["edge_gap_scan", "corner_spectral_flow", "compute_report_W",
                                    "compute_report_L", "kernel_signature", "edge_spectral_flow",
-                                   "assemble_halfline"])
+                                   "assemble_halfline", "corner_spectral_flow_n_t",
+                                   "edge_spectral_flow_n_t", "compute_report_n_t",
+                                   "chern_number", "winding_number", "weak_invariants"])
 def test_lattice_sizes_are_checked_one_way(models, entry):
-    """A numpy integer size works like the Python int (and a report records
-    it as one); a float or a bool size is refused with GeometryError."""
+    """A numpy integer size, t-grid or Bloch grid works like the Python int
+    (and a report records it as one); a float or a bool is refused with
+    GeometryError, so no sample grid stops short of closing its circle."""
     run = _size_entry_points(models)[entry]
     assert run(np.int64(8)) == run(8)
     for bad in (8.0, 12.5, True):
         with pytest.raises(GeometryError, match="must be a positive integer"):
             run(bad)
+
+
+@pytest.mark.parametrize("patched, call, what", [
+    ("_c1_field_strength", lambda m: cl.chern_number(m["h1_example"].symbol, 12),
+     "Chern number"),
+    ("_c1_field_strength", lambda m: cl.weak_invariants(m["product_example"].symbol, 12),
+     r"weak invariant on axes \(0,1\)"),
+    ("_halfline_kernel_states", lambda m: cl.kernel_signature(
+        m["h2_example"].symbol, m["h2_example"].grading, W=12), "half-line kernel"),
+], ids=["chern", "weak", "kernel"])
+def test_refine_once_then_refuse(models, monkeypatch, patched, call, what):
+    """A resolution too coarse at n is retried once at 2n, and refused with
+    ResidualError naming the quantity and both sizes when 2n is too coarse."""
+    sizes = []
+
+    def too_coarse(*args):
+        sizes.append(args[-1])
+        raise invariants._RefineNeeded("too coarse")
+
+    monkeypatch.setattr(invariants, patched, too_coarse)
+    with pytest.raises(ResidualError, match=what + r" not certified at 12 .* at 24 "):
+        call(models)
+    assert sizes == [12, 24]
+
+
+def test_winding_step_certificate_refines_then_refuses(models, monkeypatch):
+    """At grid 3 the principal-branch phase steps of the double shift alias
+    (their sum reads +1 where the winding is -2); the step certificate refuses
+    3 and 6, and at 11 it refuses only the first grid and certifies 22."""
+    g = models["h2_double_shift"].grading
+    ds = models["h2_double_shift"].symbol
+    grids = []
+    bloch_grid = invariants._bloch_grid
+
+    def spy(sym, axes, n):
+        grids.append(n)
+        return bloch_grid(sym, axes, n)
+
+    monkeypatch.setattr(invariants, "_bloch_grid", spy)
+    with pytest.raises(ResidualError, match=r"winding number not certified at 3 .* at 6 "):
+        cl.winding_number(ds, g, grid=3)
+    assert grids == [3, 6]
+    grids.clear()
+    assert cl.winding_number(ds, g, grid=11) == -2
+    assert grids == [11, 22]
+    with pytest.raises(ResidualError):
+        cl.winding_number(ds, g, grid=2)

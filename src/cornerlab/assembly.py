@@ -12,12 +12,12 @@ invariant the bulk formulas produce.  Truncations are Dirichlet (hops
 leaving the region are dropped).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import geometry, symbol
+from . import geometry, spectra, symbol
 from .errors import GeometryError, ModelError
 
 ASSEMBLY_HERMITICITY_TOL = 1e-12
@@ -33,17 +33,21 @@ KIND_HALFLINE = "halfline"
 class AssembledOperator:
     """A Hermitian matrix with the geometry metadata it was built from.
 
-    ``matrix`` is stored sparse (CSR); use :meth:`dense` for eigensolvers
-    that want a full array.
+    ``matrix`` is stored sparse; use :meth:`dense` for eigensolvers that want
+    a full array.  An :class:`OperatorFamily` has checked its operators for
+    Hermiticity already and builds them CSC on its ``pattern``.
     """
 
-    matrix: sp.csr_matrix
+    matrix: sp.spmatrix
     kind: str
     region: "geometry.LatticeRegion | None" = None
     t: float | None = None
     k_edge: float | None = None
+    pattern: "spectra.FactorPattern | None" = None
 
     def __post_init__(self):
+        if self.pattern is not None:
+            return
         herm_defect = abs(self.matrix - self.matrix.conj().T)
         if herm_defect.nnz and herm_defect.max() > ASSEMBLY_HERMITICITY_TOL:
             raise ModelError(f"assembled {self.kind} matrix is not Hermitian")
@@ -56,25 +60,6 @@ class AssembledOperator:
         return self.matrix.toarray()
 
 
-def _build(hoppings, region, kind, t=None):
-    """Assemble a CSR matrix from 2-D hoppings over all region sites at once.
-
-    Every region site is displaced by every hopping offset in one array
-    operation; hops leaving the region are dropped (Dirichlet) and hops
-    that land on the same entry are summed.
-    """
-    norb = region.norb
-    offsets = np.array(list(hoppings), dtype=np.int64).reshape(-1, 1, 2)
-    blocks = np.array(list(hoppings.values()), dtype=complex).reshape(-1, norb * norb)
-    pos = region.site_position(np.array(region.sites, dtype=np.int64) + offsets)
-    hop, col = np.nonzero(pos >= 0)
-    orb_row, orb_col = np.divmod(np.arange(norb * norb), norb)
-    rows = (pos[hop, col, None] * norb + orb_row).ravel()
-    cols = (col[:, None] * norb + orb_col).ravel()
-    mat = sp.coo_matrix((blocks[hop].ravel(), (rows, cols)), shape=(region.dof,) * 2).tocsr()
-    return AssembledOperator(mat, kind, region=region, t=t)
-
-
 def assemble_bulk(sym, k):
     """Bloch fiber H(k) wrapped with metadata."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
@@ -83,36 +68,23 @@ def assemble_bulk(sym, k):
     return AssembledOperator(mat, KIND_BULK, region=None, t=t)
 
 
-def assemble_corner(sym, pair, L, t):
-    """Corner compression on the wedge of ``pair`` inside the max-norm ball L.
-
-    The parameter axis is folded at ``t``; within the wedge the entry from
-    column site b to row site a is ``sum_l h_{(a-b, l)} exp(-i l t)``, and
-    hops leaving the wedge or the ball are dropped (Dirichlet).
-    """
-    if sym.dim != 3:
-        raise ModelError(f"corner assembly expects a dim-3 symbol, got dim {sym.dim}")
-    rng = max(sym.hopping_range()[:2])
-    if rng > L:
-        raise GeometryError(f"hopping range {rng} exceeds corner size L={L}")
-    region = geometry.wedge_region(pair, L, sym.norb)
-    return _build(symbol.partial_bloch(sym, 2, -t).hoppings, region, KIND_CORNER, t=float(t))
-
-
 @dataclass
-class StripFamily:
-    """Edge strips ``sum_T exp(i (j k_edge - l t)) coeffs[T]`` over ``terms`` T = (j, l).
+class OperatorFamily:
+    """Operators ``sum_T exp(i (j k_edge - l t)) coeffs[T]`` over ``terms`` T = (j, l).
 
-    j counts supercell translations, l indexes the parameter axis (0 in dim 2).
-    All ``coeffs`` share the row-major flat indices ``entries``, mirrored by
-    ``entries[transpose]``.  Every point is checked for Hermiticity, and its
-    value does not depend on which other points are evaluated.
+    j counts edge-supercell translations (0 off a strip), l indexes the
+    parameter axis.  All ``coeffs`` share the column-major flat indices
+    ``entries`` (the diagonal and every entry nonzero for some term: a stored
+    zero costs every factorization), mirrored by ``entries[transpose]``, and
+    ``pattern`` with its one fill-reducing order.  Every point is checked for
+    Hermiticity, and its value does not depend on which other points are
+    evaluated.
 
-    ``band_index`` places the entries ``lower`` (on or below the diagonal once
-    the sites are stable-sorted by strip depth) into LAPACK lower band storage
-    of shape ``(bandwidth + 1, dof)``.  A hop changes the depth by at most the
-    hopping range and each depth holds q sites of a slope p/q (one for
-    infinite slopes), so the bandwidth does not grow with W.
+    For a strip, ``band_index`` places the entries ``lower`` (on or below the
+    diagonal once the sites are stable-sorted by strip depth) into LAPACK lower
+    band storage of shape ``(bandwidth + 1, dof)``.  A hop changes the depth
+    by at most the hopping range and each depth holds q sites of a slope p/q
+    (one for infinite slopes), so the bandwidth does not grow with W.
     """
 
     region: "geometry.LatticeRegion"
@@ -122,18 +94,16 @@ class StripFamily:
     coeffs: np.ndarray
     entries: np.ndarray
     transpose: np.ndarray
-    lower: np.ndarray
-    band_index: np.ndarray
-    bandwidth: int
+    pattern: "spectra.FactorPattern"
+    lower: np.ndarray | None = None
+    band_index: np.ndarray | None = None
+    bandwidth: int = 0
 
-    def _values(self, k_edge, t):
+    def _checked_values(self, k_edge, t):
         if self.dim == 3 and t is None:
             raise ModelError("dim-3 symbol needs a parameter value t")
         angle = self.terms[:, 0] * k_edge - self.terms[:, 1] * (t if self.dim == 3 else 0.0)
-        return (np.exp(1j * angle)[:, None] * self.coeffs).sum(axis=0)
-
-    def _checked_values(self, k_edge, t):
-        vals = self._values(k_edge, t)
+        vals = (np.exp(1j * angle)[:, None] * self.coeffs).sum(axis=0)
         if np.abs(vals - vals[self.transpose].conj()).max(initial=0) > ASSEMBLY_HERMITICITY_TOL:
             raise ModelError(f"assembled {self.kind} matrix is not Hermitian")
         return vals
@@ -144,13 +114,69 @@ class StripFamily:
         band.flat[self.band_index] = self._checked_values(k_edge, t)[self.lower]
         return band
 
-    def operator(self, k_edge, t=None):
-        """CSR on the whole pattern, zeros kept; checked by AssembledOperator."""
-        n = self.region.dof
-        indptr = np.searchsorted(self.entries, np.arange(n + 1) * n)
-        mat = sp.csr_matrix((self._values(k_edge, t), self.entries % n, indptr), shape=(n, n))
-        return AssembledOperator(mat, self.kind, region=self.region,
-                                 t=None if t is None else float(t), k_edge=float(k_edge))
+    def operator(self, k_edge=None, t=None):
+        """CSC on ``pattern``; ``k_edge`` is None off a strip."""
+        mat = sp.csc_matrix((self._checked_values(k_edge or 0.0, t), self.pattern.indices,
+                             self.pattern.indptr), shape=(self.region.dof,) * 2)
+        return AssembledOperator(mat, self.kind, self.region, t if t is None else float(t),
+                                 k_edge if k_edge is None else float(k_edge), self.pattern)
+
+
+def _family(sym, region, kind, reduce=None):
+    """The family of ``sym`` on ``region``: hop h takes column site s to
+    ``targets[h, s]``, whose row site position (-1: dropped) and supercell
+    index j are ``reduce(targets)``, by default the target itself and 0.
+
+    Zero block entries are dropped.  One argsort (np.unique is far slower on
+    as many int64 keys) of the flat keys, their transposes and the diagonal
+    places every coefficient, at most one per term and entry, and pairs every
+    entry with its transpose.
+    """
+    norb, n = region.norb, region.dof
+    offsets = np.array(list(sym.hoppings), dtype=np.int64).reshape(-1, sym.dim)
+    blocks = np.array(list(sym.hoppings.values()), dtype=complex).reshape(-1, norb * norb)
+    targets = np.array(region.sites, dtype=np.int64) + np.pad(
+        offsets, ((0, 0), (0, 3 - sym.dim)))[:, None, :2]
+    pos, j = reduce(targets) if reduce else (region.site_position(targets), 0)
+    hop, col = np.nonzero(pos >= 0)
+    jl = np.column_stack((np.broadcast_to(j, pos.shape)[hop, col],
+                          offsets[hop, 2] if sym.dim == 3 else 0 * hop))
+    low, span = jl.min(axis=0), np.ptp(jl, axis=0) + 1
+    codes, term = np.unique((jl - low) @ [span[1], 1], return_inverse=True)
+    pair, orb = np.nonzero((blocks != 0)[hop])
+    hop, col, term = hop[pair], col[pair], term[pair]
+    keys = (col * norb + orb % norb) * n + pos[hop, col] * norb + orb // norb
+    flat = np.concatenate((keys, keys % n * n + keys // n, np.arange(n) * (n + 1)))
+    order = np.argsort(flat)
+    first = np.append(True, flat[order[1:]] != flat[order[:-1]])
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(first) - 1
+    entries = flat[order[first]]
+    coeffs = np.zeros((codes.size, entries.size), dtype=complex)
+    coeffs[term, slot[:keys.size]] = blocks[hop, orb]
+    transpose = np.empty_like(slot, shape=entries.size)
+    transpose[slot] = slot[np.r_[keys.size:2 * keys.size, :keys.size, 2 * keys.size:slot.size]]
+    return OperatorFamily(region, kind, sym.dim, np.column_stack(np.divmod(codes, span[1])) + low,
+                          coeffs, entries, transpose, spectra.FactorPattern(
+                              np.searchsorted(entries, np.arange(n + 1) * n), entries % n))
+
+
+def corner_family(sym, pair, L):
+    """Corner compressions on the wedge of ``pair`` inside the max-norm ball L,
+    built once for every t: within the wedge the entry from column site b to
+    row site a is ``sum_l h_{(a-b, l)} exp(-i l t)``, and hops leaving the
+    wedge or the ball are dropped (Dirichlet)."""
+    if sym.dim != 3:
+        raise ModelError(f"corner assembly expects a dim-3 symbol, got dim {sym.dim}")
+    rng = max(sym.hopping_range()[:2])
+    if rng > L:
+        raise GeometryError(f"hopping range {rng} exceeds corner size L={L}")
+    return _family(sym, geometry.wedge_region(pair, L, sym.norb), KIND_CORNER)
+
+
+def assemble_corner(sym, pair, L, t):
+    """The compression of :func:`corner_family` at ``t``: a one-point family."""
+    return corner_family(sym, pair, L).operator(t=t)
 
 
 def strip_family(sym, slope, which, W):
@@ -164,41 +190,29 @@ def strip_family(sym, slope, which, W):
     """
     if sym.dim not in (2, 3):
         raise ModelError(f"edge strip expects a dim-2 or dim-3 symbol, got dim {sym.dim}")
-    region, _ = geometry.strip_region(slope, which, W, sym.norb)
+    region, depths = geometry.strip_region(slope, which, W, sym.norb)
     rng = max(sym.hopping_range()[:2])
     if W <= rng:
         raise GeometryError(f"W={W} must exceed the hopping range {rng}")
-    norb, n = sym.norb, region.dof
-    sites = np.array(region.sites, dtype=np.int64)
-    offsets = np.array(list(sym.hoppings), dtype=np.int64).reshape(-1, sym.dim)
-    blocks = np.array(list(sym.hoppings.values()), dtype=complex).reshape(-1, norb * norb)
-    targets = sites + offsets[:, None, :2]
-    depth = geometry.strip_depth(slope, which, targets)
-    inside = (depth >= 0) & (depth < W)
-    rep, j = geometry.reduce_to_supercell(slope, targets)
-    pos = region.site_position(rep)
-    if (lost := targets[inside & (pos < 0)]).size:
-        raise GeometryError(f"supercell reduction failed for site {tuple(lost[0].tolist())}")
-    hop, col = np.nonzero(inside)
-    orb_row, orb_col = np.divmod(np.arange(norb * norb), norb)
-    keys = ((pos[hop, col, None] * norb + orb_row) * n + col[:, None] * norb + orb_col).ravel()
-    entries = np.unique(np.concatenate((keys, keys % n * n + keys // n)))
-    l_index = offsets[hop, 2] if sym.dim == 3 else np.zeros_like(hop)
-    terms, term = np.unique(np.column_stack((j[hop, col], l_index)), axis=0, return_inverse=True)
-    coeffs = np.zeros((len(terms), entries.size), dtype=complex)
-    np.add.at(coeffs, (np.repeat(term.ravel(), norb * norb), np.searchsorted(entries, keys)),
-              blocks[hop].ravel())
+
+    def reduce(targets):
+        depth = geometry.strip_depth(slope, which, targets)
+        inside = (depth >= 0) & (depth < W)
+        rep, j = geometry.reduce_to_supercell(slope, targets)
+        pos = region.site_position(rep)
+        if (lost := targets[inside & (pos < 0)]).size:
+            raise GeometryError(f"supercell reduction failed for site {tuple(lost[0].tolist())}")
+        return np.where(inside, pos, -1), j
+
     kind = KIND_EDGE_ALPHA if which == geometry.ALPHA else KIND_EDGE_BETA
-    mirror = np.searchsorted(entries, entries % n * n + entries // n)
+    family, norb, n = _family(sym, region, kind, reduce), sym.norb, region.dof
     rank = np.empty(region.n_sites, dtype=np.int64)
-    rank[np.argsort(geometry.strip_depth(slope, which, sites), kind="stable")] = np.arange(
-        region.n_sites)
+    rank[np.argsort(list(depths.values()), kind="stable")] = np.arange(region.n_sites)
     dof_rank = (rank[:, None] * norb + np.arange(norb)).ravel()
-    band_row, band_col = dof_rank[entries // n], dof_rank[entries % n]
+    band_row, band_col = dof_rank[family.entries % n], dof_rank[family.entries // n]
     lower = band_row >= band_col
-    band_index = ((band_row - band_col) * n + band_col)[lower]
-    return StripFamily(region, kind, sym.dim, terms, coeffs, entries, mirror,
-                       lower, band_index, int((band_row - band_col).max()))
+    return replace(family, lower=lower, band_index=((band_row - band_col) * n + band_col)[lower],
+                   bandwidth=int((band_row - band_col).max()))
 
 
 def assemble_edge_strip(sym, slope, which, W, k_edge, t=None):
@@ -216,5 +230,4 @@ def assemble_halfline(sym, W):
         raise GeometryError(f"W={W} must exceed the hopping range {rng}")
     region = geometry.LatticeRegion(
         np.column_stack((np.arange(W), np.zeros(W, dtype=int))), sym.norb)
-    hoppings = {(dn, 0): blk for (dn,), blk in sym.hoppings.items()}
-    return _build(hoppings, region, KIND_HALFLINE)
+    return _family(sym, region, KIND_HALFLINE).operator()

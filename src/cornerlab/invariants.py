@@ -21,7 +21,8 @@ import numpy as np
 import scipy.linalg
 
 from . import assembly, geometry, spectra
-from .errors import EigensolverError, GapClosedError, ModelError, ResidualError
+from .errors import (EigensolverError, GapClosedError, ModelError, ResidualError,
+                     TrackingError)
 from .symbol import check_chiral, evaluate_bloch, partial_bloch
 
 GAP_FLOOR = 1e-8
@@ -294,7 +295,7 @@ def _strip_lower_bound(band):
     """Lower bound on every |eigenvalue| a sharpened strip can report, and its margin.
 
     ``band`` is a Hermitian strip in LAPACK lower band storage
-    (:meth:`assembly.StripFamily.banded`), reduced straight to tridiagonal
+    (:meth:`assembly.OperatorFamily.banded`), reduced straight to tridiagonal
     form for its eigenvalues only.  The margin, 1e-10 times the max absolute
     row sum (read off the band, where it equals the dense one), covers the
     rounding gap to ``eigh`` and to sharpening's Rayleigh quotients, which
@@ -475,6 +476,12 @@ def _offset_grid(n_t):
 
 
 def _tracked_crossings(build_slice, n_t, window, weight_fn, jump_bound):
+    """Every signed zero crossing of the family over the closed t-grid.
+
+    A loop of finite Hermitian matrices ends with as many eigenvalues below
+    0 as it started with, so the directions must sum to 0; a lost or doubled
+    crossing raises TrackingError.
+    """
     slices = [build_slice(t) for t in _offset_grid(n_t)]
     track = spectra.track_branches(
         slices,
@@ -483,7 +490,11 @@ def _tracked_crossings(build_slice, n_t, window, weight_fn, jump_bound):
         jump_bound=jump_bound,
         refine_fn=build_slice,
     )
-    return spectra.crossings(track)
+    found = spectra.crossings(track)
+    if total := sum(c.direction for c in found):
+        raise TrackingError(
+            f"tracked crossings sum to {total:+d} around a closed loop, not 0")
+    return found
 
 
 def _corner_profile(site):
@@ -550,9 +561,10 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None,
         return max(abs(site[0]), abs(site[1])) <= half
 
     samples = [] if keep_samples else None
+    family = assembly.corner_family(sym, pair, L)
 
     def build(t):
-        op = assembly.assemble_corner(sym, pair, L, t)
+        op = family.operator(t=t)
         sl = spectra.diagonalize_window(op, window)
         sl = spectra.sharpen_degeneracies(sl, _corner_profile, matrix=op.matrix)
         if samples is not None:

@@ -74,27 +74,68 @@ def diagonalize(op):
     return SpectralSlice(vals, vecs, op.kind, t=op.t, k_edge=op.k_edge, region=op.region)
 
 
-def _factor(csc, *shifts):
-    """Symmetric-mode SuperLU of the Hermitian ``csc - shift`` at the first of
-    ``shifts`` that factors: MMD on A + A^T, diagonal pivots unless one is 0."""
-    eye = sparse.identity(csc.shape[0], dtype=csc.dtype, format="csc")
+class FactorPattern:
+    """A square CSC pattern (``indptr``, ``indices``, diagonal stored) and the
+    one fill-reducing order of every matrix factored on it: the first
+    factorization orders by MMD on A + A^T and keeps its column permutation
+    ``rank``; every later one factors ``A[order][:, order]``, ``order`` the
+    inverse of ``rank``, in NATURAL order (values ``values[take]`` on ``layout``).
+    """
+
+    def __init__(self, indptr, indices):
+        self.indptr, self.indices = indptr.astype(np.int32), indices.astype(np.int32)
+        self._lay_out(np.arange(indptr.size - 1))
+        self.order = self.rank = None
+
+    @classmethod
+    def of(cls, matrix):
+        """The pattern of ``matrix`` with its diagonal stored, and its values on it."""
+        csc = sparse.csc_matrix(matrix, dtype=complex, copy=True)
+        csc.setdiag(csc.diagonal())
+        return cls(csc.indptr, csc.indices), csc.data
+
+    def _lay_out(self, rank):
+        # A copy: SuperLU's perm_c is a view that would keep its whole factor alive.
+        n, rank = rank.size, rank.astype(np.int64)
+        keys = np.repeat(rank, np.diff(self.indptr)) * n + rank[self.indices]
+        self.take = np.argsort(keys)
+        keys = keys[self.take]
+        self.layout = (np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32),
+                       (keys % n).astype(np.int32), np.flatnonzero(keys // n == keys % n))
+        self.order, self.rank = np.argsort(rank), rank
+
+
+def _factor(pattern, values, *shifts):
+    """Symmetric-mode SuperLU of ``A - shift`` at the first of ``shifts`` that
+    factors, A the Hermitian matrix with ``values`` on ``pattern``: diagonal
+    pivots unless one is 0.  The first factorization on a pattern fixes its
+    order; every later one is of the pre-ordered matrix, shifted in place."""
+    fresh, (indptr, indices, diag) = pattern.order is None, pattern.layout
+    failures = []
     for shift in shifts:
+        shifted = np.asarray(values, dtype=complex)[pattern.take]
+        shifted[diag] -= shift
         try:
-            return spla.splu(csc - shift * eye, permc_spec="MMD_AT_PLUS_A",
-                             diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            lu = spla.splu(sparse.csc_matrix((shifted, indices, indptr), (indptr.size - 1,) * 2),
+                           permc_spec="MMD_AT_PLUS_A" if fresh else "NATURAL",
+                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         except RuntimeError as exc:
-            failure = exc
-    raise EigensolverError(f"sparse factorization at {shift:.6g} failed: {failure}")
+            failures.append(f"{shift:.6g} ({exc})")
+            continue
+        if fresh:
+            pattern._lay_out(lu.perm_c)
+        return lu
+    raise EigensolverError(f"sparse factorization failed at {', '.join(failures)}")
 
 
-def _count_below(csc, shift):
-    """Exact number of eigenvalues of the Hermitian ``csc`` below ``shift``.
+def _count_below(pattern, values, shift):
+    """Exact number of eigenvalues below ``shift`` of ``values`` on ``pattern``.
 
     Diagonal pivots make ``_factor`` a congruence L D L^H (D the diagonal of
     U), so by Sylvester's law of inertia the negative entries of D count the
     eigenvalues below the shift; an off-diagonal pivot is refused, not counted.
     """
-    lu = _factor(csc, shift)
+    lu = _factor(pattern, values, shift)
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise EigensolverError(
             f"inertia factorization at {shift:.6g} pivoted off the diagonal; no count")
@@ -114,6 +155,9 @@ def diagonalize_window(op, window, k=None):
     meet the residual contract.  The random block has full projection onto
     every eigenspace, so exact degeneracies come out whole and orthonormal.
 
+    All factorizations run on the ``pattern`` that the operator's family shares
+    (or on one of its own), so a family is MMD-ordered once, by its first count.
+
     Refusals: a window that is not a positive finite number raises
     ValueError; a factorization that fails or pivots off the diagonal, or
     a block that has not converged to ``count`` pairs after
@@ -125,20 +169,21 @@ def diagonalize_window(op, window, k=None):
         raise ValueError(f"window must be positive and finite, got {window}")
     matrix = op.matrix.astype(complex, copy=False)
     n = matrix.shape[0]
-    csc = matrix.tocsc()
+    pattern, values = (FactorPattern.of(matrix) if op.pattern is None
+                       else (op.pattern, matrix.data))
     edge = 1.05 * window
-    count = _count_below(csc, edge) - _count_below(csc, -edge)
+    count = _count_below(pattern, values, edge) - _count_below(pattern, values, -edge)
     norm_a = float(np.abs(matrix).sum(axis=1).max())
     if count == 0:
         return SpectralSlice(np.empty(0), np.empty((n, 0), dtype=complex), op.kind,
                              t=op.t, k_edge=op.k_edge, region=op.region)
-    lu = _factor(csc, 0.0, 1.3e-6, 4.1e-6)
+    lu = _factor(pattern, values, 0.0, 1.3e-6, 4.1e-6)
     size = min(count + 8, n)
     rng = np.random.default_rng(_BLOCK_SEED)
     block = rng.standard_normal((n, size)) + 1j * rng.standard_normal((n, size))
     tol = RESIDUAL_REL_TOL * norm_a
     for _ in range(_BLOCK_MAX_SWEEPS):
-        block, _ = np.linalg.qr(lu.solve(block))
+        block, _ = np.linalg.qr(lu.solve(block[pattern.order])[pattern.rank])
         ab = matrix @ block
         small = block.conj().T @ ab
         theta, rot = np.linalg.eigh(0.5 * (small + small.conj().T))

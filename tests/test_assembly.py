@@ -105,6 +105,22 @@ def test_corner_validation():
         assemble_corner(qwz_model(-1.0), PAIR, 8, 0.0)
 
 
+def test_corner_family_stores_no_entry_that_is_zero_for_every_l():
+    """The pattern holds the diagonal and the entries nonzero for some l, no more."""
+    for name in ("product_example", "onsite_gapped"):
+        family = assembly.corner_family(builtin_models()[name].symbol, PAIR, 6)
+        n = family.region.dof
+        cols = family.entries // n
+        off_diagonal = family.entries % n != cols
+        assert np.count_nonzero(~off_diagonal) == n
+        assert np.all(np.any(family.coeffs[:, off_diagonal] != 0, axis=0))
+        # Every dropped entry is zero in the dense matrix at any t.
+        dense = family.operator(t=0.37).dense()
+        stored = np.zeros((n, n), dtype=bool)
+        stored[family.entries % n, cols] = True
+        assert not np.any(dense[~stored])
+
+
 def test_edge_strip_slope0_equals_folded_halfline():
     """Slope-0 alpha strip of a dim-2 symbol is the Bloch-folded half-line."""
     sym = qwz_model(-1.0)

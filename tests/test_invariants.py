@@ -13,6 +13,7 @@ from cornerlab import (
     GeometryError,
     ModelError,
     ResidualError,
+    TrackingError,
     assembly,
     geometry,
     invariants,
@@ -399,3 +400,35 @@ def test_winding_step_certificate_refines_then_refuses(models, monkeypatch):
     assert grids == [11, 22]
     with pytest.raises(ResidualError):
         cl.winding_number(ds, g, grid=2)
+
+
+def test_corner_flow_builds_one_region_and_one_ordering(monkeypatch):
+    """A flow builds its wedge region once and MMD-orders its pattern once."""
+    calls = {"wedge_region": 0, "MMD_AT_PLUS_A": 0, "NATURAL": 0}
+    wedge_region, splu = geometry.wedge_region, spectra.spla.splu
+
+    def counted_region(*args, **kwargs):
+        calls["wedge_region"] += 1
+        return wedge_region(*args, **kwargs)
+
+    def counted_splu(*args, permc_spec, **kwargs):
+        calls[permc_spec] += 1
+        return splu(*args, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(geometry, "wedge_region", counted_region)
+    monkeypatch.setattr(spectra.spla, "splu", counted_splu)
+    net, _ = invariants.corner_spectral_flow(
+        builtin_models()["product_example"].symbol, PAIR, 8, n_t=8)
+    assert net == 1
+    assert calls["wedge_region"] == 1 and calls["MMD_AT_PLUS_A"] == 1
+    assert calls["NATURAL"] >= 2 * 8 - 1
+
+
+def test_lost_crossing_breaks_zero_total_flow(monkeypatch, models):
+    """Both flows refuse when the signed crossings of the loop do not sum to 0."""
+    crossings = spectra.crossings
+    monkeypatch.setattr(spectra, "crossings", lambda track: crossings(track)[1:])
+    with pytest.raises(TrackingError, match="sum to"):
+        invariants.corner_spectral_flow(models["product_example"].symbol, PAIR, 8, n_t=8)
+    with pytest.raises(TrackingError, match="sum to"):
+        invariants.edge_spectral_flow(models["h1_example"].symbol, W=12, n_t=12)

@@ -178,6 +178,22 @@ def test_assemblers_match_site_pair_oracle():
             assert np.max(np.abs(op.dense() - want)) <= 1e-14
 
 
+def test_corner_family_points_match_site_pair_oracle():
+    """Every point of one corner family equals the dense double loop over site pairs."""
+    rng = np.random.default_rng(43)
+    for sym in (builtin_models()["product_example"].symbol, _random_range2_symbol(rng)):
+        for alpha, beta in (("0", "inf"), ("-1/2", "3")):
+            family = cl.assembly.corner_family(
+                sym, SlopePair(Slope.parse(alpha), Slope.parse(beta)), 5)
+            for t in (0.0, 0.7, float(rng.uniform(0, 2 * np.pi)), 4.1):
+                op = family.operator(t=t)
+                sites, want = oracle_corner_matrix(
+                    sym, _oracle_slope(alpha), _oracle_slope(beta), 5, t)
+                assert list(op.region.sites) == sites and op.t == t
+                assert op.pattern is family.pattern
+                assert np.max(np.abs(op.dense() - want)) <= 1e-14
+
+
 def test_strip_depth_matches_fraction_formula():
     grid = np.stack(np.meshgrid(np.arange(-7, 8), np.arange(-7, 8), indexing="ij"), -1)
     for text, which in (("0", "alpha"), ("0", "beta"), ("1/2", "alpha"),

@@ -146,12 +146,12 @@ def test_window_solver_shift_zero_factor(make_op, singular):
     """The solve factor at shift 0: exactly singular (the solver must retry at
     a tiny shift) or zero-diagonal (SuperLU must pivot off the diagonal)."""
     op = make_op()
-    csc = op.matrix.tocsc()
+    pattern, values = spectra.FactorPattern.of(op.matrix)
     if singular:
         with pytest.raises(EigensolverError, match="singular"):
-            spectra._factor(csc, 0.0)
+            spectra._factor(pattern, values, 0.0)
     else:
-        lu = spectra._factor(csc, 0.0)
+        lu = spectra._factor(pattern, values, 0.0)
         assert not np.array_equal(lu.perm_r, lu.perm_c)
 
     sl = diagonalize_window(op, 0.45)
@@ -162,6 +162,38 @@ def test_window_solver_shift_zero_factor(make_op, singular):
     assert np.allclose(sl.eigenvalues, inside, atol=1e-12)
     gram = sl.eigenvectors.conj().T @ sl.eigenvectors
     assert np.max(np.abs(gram - np.eye(sl.eigenvalues.size))) < 1e-10
+
+
+def _real_sparse_op():
+    """A real symmetric sparse matrix: the counts run on its complex copy."""
+    rng = np.random.default_rng(5)
+    raw = sp.random(60, 60, density=0.08, random_state=rng)
+    return assembly.AssembledOperator(
+        (raw + raw.T + sp.diags(rng.uniform(-2.0, 2.0, 60))).tocsr(), "test")
+
+
+def test_preordered_counts_equal_dense_counts():
+    """Sylvester counts on the pre-ordered pattern equal dense eigenvalue counts.
+
+    Two points of one L=8 corner family share one pattern; the real matrix
+    and the zero-diagonal chiral operator get patterns of their own.  Every
+    count after a pattern's first runs on the pre-ordered matrix.
+    """
+    pair = geometry.SlopePair(geometry.Slope.rational(0, 1), geometry.Slope.plus_inf())
+    family = assembly.corner_family(symbol.builtin_models()["product_example"].symbol, pair, 8)
+    ops = [family.operator(t=t) for t in (0.3, 2.9)]
+    cases = [(family.pattern, op.matrix.data, op) for op in ops]
+    cases += [(*spectra.FactorPattern.of(op.matrix), op)
+              for op in (_real_sparse_op(), _chiral_op())]
+    for pattern, values, op in cases:
+        dense = np.linalg.eigvalsh(op.dense())
+        for shift in (-2.5, -0.4725, -0.2, 0.05, 0.2, 0.4725, 1.7):
+            assert spectra._count_below(pattern, values, shift) == \
+                np.count_nonzero(dense < shift)
+            assert pattern.order is not None
+        assert np.array_equal(pattern.order[pattern.rank], np.arange(dense.size))
+        # The kept order is a copy, not a view that would keep a SuperLU factor alive.
+        assert pattern.rank.base is None
 
 
 def test_window_solver_real_matrix():

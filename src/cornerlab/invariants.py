@@ -23,7 +23,7 @@ import scipy.linalg
 from . import assembly, geometry, spectra
 from .errors import (EigensolverError, GapClosedError, ModelError, ResidualError,
                      TrackingError)
-from .symbol import check_chiral, evaluate_bloch, partial_bloch
+from .symbol import check_chiral, evaluate_bloch, partial_bloch  # noqa: F401 (traced by name)
 
 GAP_FLOOR = 1e-8
 INT_RESIDUAL_TOL = 1e-6
@@ -571,10 +571,8 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None,
             samples.append((t, sl.eigenvalues.copy(), spectra.all_weights(sl, mask)))
         return sl
 
-    def weight_fn(sl, i):
-        return spectra.localization_weight(sl, i, mask)
-
-    raw = _tracked_crossings(build, n_t, window, weight_fn, _parameter_rate(sym, 2))
+    raw = _tracked_crossings(build, n_t, window, partial(spectra.localization_weight, mask=mask),
+                             _parameter_rate(sym, 2))
     detail = FlowDetail(
         crossings=_merge_crossings(raw),
         window=window,
@@ -589,35 +587,35 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None,
 def edge_spectral_flow(sym, W=40, n_t=64):
     """Spectral flow of the half-line family of a dim-2 symbol.
 
-    The second axis is folded to the family parameter t, the first is
-    compressed to sites 0..W-1, and zero crossings of near-wall branches
-    (weight >= 0.6 within depth W/2) are tracked inside a window of 0.45
-    times the bulk gap and counted over the circle.  Cross-check partner
-    of :func:`chern_number`: the flow equals minus that invariant.
+    One dim-2 strip family of slope +inf (sites 0..W-1) read at ``k_edge = -t``:
+    the second axis folded to t with the orientation of the dim-3 corner fold.
+    Each slice is window-solved, its window count certified by two inertia
+    counts.  Zero crossings of near-wall branches (weight >= 0.6 within depth
+    W/2) are tracked inside a window of 0.45 times the bulk gap and counted
+    over the circle.  Cross-check partner of :func:`chern_number`: the flow
+    equals minus that invariant.
 
     ``W`` and ``n_t`` must be integers of at least 1 (GeometryError
-    otherwise), so the ``n_t`` samples close the circle.  A Bloch gap
-    closing on a 32 x 32 grid raises GapClosedError.
+    otherwise), so the ``n_t`` samples close the circle; W must also exceed
+    the hopping range of either axis.  A Bloch gap closing on a 32 x 32
+    grid raises GapClosedError.
     """
     if sym.dim != 2:
         raise ModelError(f"edge flow needs a dim-2 symbol, got dim {sym.dim}")
     n_t = geometry.lattice_size("n_t", n_t)
     window = 0.45 * _bulk_gap_on_grid(sym, 32)
+    family = assembly.strip_family(sym, geometry.Slope.plus_inf(), geometry.BETA, W)
 
     def near(site):
         return site[0] < W / 2
 
     def build(t):
-        # Parameter axis folded with the reversed orientation, matching the
-        # dim-3 fold used by the assembly module for corner families.
-        op = assembly.assemble_halfline(partial_bloch(sym, 1, -t), W)
-        sl = spectra.diagonalize(op)
+        op = family.operator(-t, t)
+        sl = spectra.diagonalize_window(op, window)
         return spectra.sharpen_degeneracies(sl, near, matrix=op.matrix)
 
-    def weight_fn(sl, i):
-        return spectra.localization_weight(sl, i, near)
-
-    raw = _tracked_crossings(build, n_t, window, weight_fn, _parameter_rate(sym, 1))
+    raw = _tracked_crossings(build, n_t, window, partial(spectra.localization_weight, mask=near),
+                             _parameter_rate(sym, 1))
     return sum(c.direction for c in raw
                if c.weight is not None and c.weight >= DEFAULT_MASK_THRESHOLD)
 

@@ -173,10 +173,10 @@ def diagonalize_window(op, window, k=None):
                        else (op.pattern, matrix.data))
     edge = 1.05 * window
     count = _count_below(pattern, values, edge) - _count_below(pattern, values, -edge)
-    norm_a = float(np.abs(matrix).sum(axis=1).max())
     if count == 0:
         return SpectralSlice(np.empty(0), np.empty((n, 0), dtype=complex), op.kind,
                              t=op.t, k_edge=op.k_edge, region=op.region)
+    norm_a = float(np.abs(matrix).sum(axis=1).max())
     lu = _factor(pattern, values, 0.0, 1.3e-6, 4.1e-6)
     size = min(count + 8, n)
     rng = np.random.default_rng(_BLOCK_SEED)
@@ -353,10 +353,11 @@ def track_branches(slices, window, weight_fn=None, jump_bound=None, refine_fn=No
     Parameters
     ----------
     slices : list of SpectralSlice
-        One per grid point, t strictly increasing in [0, 2pi); the grid is
-        treated as closed (the last point links back to the first).  States
-        are linked by eigenvector overlap, so every slice, refined ones
-        included, must carry eigenvectors (TrackingError otherwise).
+        One per grid point, t finite and strictly increasing in [0, 2pi)
+        (TrackingError otherwise, a None t included); the grid is treated as
+        closed (the last point links back to the first).  States are linked
+        by eigenvector overlap, so every slice, refined ones included, must
+        carry eigenvectors (TrackingError otherwise).
     window : float
         Half-width of the symmetric tracking window around zero.
     weight_fn : callable, optional
@@ -377,8 +378,8 @@ def track_branches(slices, window, weight_fn=None, jump_bound=None, refine_fn=No
     if n < 3:
         raise TrackingError("need at least 3 grid points on the circle")
     grid = np.array([sl.t for sl in slices], dtype=float)
-    if np.any(np.diff(grid) <= 0):
-        raise TrackingError("slice grid must be strictly increasing")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise TrackingError("slice grid must be finite and strictly increasing")
     ends = np.append(grid[1:], grid[0] + 2 * np.pi)
     links = []
     for i in range(n):

@@ -3,11 +3,14 @@
 Everything here recomputes a library quantity by a deliberately different
 route (dense SVD, closed-form recursions, exhaustive grids) so that the
 production pipeline can be checked against an implementation that shares
-none of its code; the one exception, ``oracle_edge_gap_scan``, is the
-unscreened loop kept as the reference for the screened edge scan.  Kept
-in the test tree on purpose; nothing in the package imports this module.
+none of its code.  There are two exceptions: ``oracle_edge_gap_scan``, the
+unscreened loop kept as the reference for the screened edge scan, and
+``oracle_edge_spectral_flow``, the per-angle dense loop kept as the
+reference for the window-solved edge flow.  Kept in the test tree on
+purpose; nothing in the package imports this module.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -283,3 +286,33 @@ def oracle_edge_gap_scan(sym, pair, W, grid):
                     best = min(best, float(np.min(absvals[eligible])))
         minima.append(best if best < math.inf else fallback)
     return minima[0], minima[1]
+
+
+def oracle_edge_spectral_flow(sym, W, n_t):
+    """``edge_spectral_flow`` by the per-angle dense loop: at every angle the
+    symbol is folded with ``partial_bloch(sym, 1, -t)``, compressed with
+    ``assemble_halfline`` and fully diagonalized; each slice is given its t.
+
+    Returns the net flow and the tracked crossings.  Like
+    ``oracle_edge_gap_scan`` it reuses the package's tracking, since what it
+    checks is the strip family and the window solver that replace this loop.
+    """
+    from cornerlab import assembly, invariants, spectra
+    from cornerlab.symbol import partial_bloch
+
+    window = 0.45 * invariants._bulk_gap_on_grid(sym, 32)
+
+    def near(site):
+        return site[0] < W / 2
+
+    def build(t):
+        op = assembly.assemble_halfline(partial_bloch(sym, 1, -t), W)
+        sl = dataclasses.replace(spectra.diagonalize(op), t=float(t))
+        return spectra.sharpen_degeneracies(sl, near, matrix=op.matrix)
+
+    raw = invariants._tracked_crossings(
+        build, n_t, window, lambda sl, i: spectra.localization_weight(sl, i, near),
+        invariants._parameter_rate(sym, 1))
+    net = sum(c.direction for c in raw
+              if c.weight is not None and c.weight >= invariants.DEFAULT_MASK_THRESHOLD)
+    return net, raw

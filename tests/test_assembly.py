@@ -1,5 +1,6 @@
 """Real-space assembly: bulk fibers, half-lines, edge strips, corners."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -138,6 +139,31 @@ def test_edge_strip_parameter_fold_orientation():
     folded = symbol.partial_bloch(sym, 2, -t)
     strip2 = assemble_edge_strip(folded, Slope.rational(1, 2), "beta", 10, k)
     assert np.allclose(strip3.dense(), strip2.dense(), atol=1e-13)
+
+
+def _random_range2_symbol(seed):
+    """A dim-2, two-orbital symbol with random blocks at every offset of range <= 2."""
+    rng = np.random.default_rng(seed)
+    hoppings = {}
+    for off in itertools.product(range(-2, 3), repeat=2):
+        if off not in hoppings:
+            blk = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            hoppings[off] = blk + blk.conj().T if off == (0, 0) else blk
+            hoppings[(-off[0], -off[1])] = hoppings[off].conj().T
+    return symbol.HamiltonianSymbol(2, 2, hoppings)
+
+
+@pytest.mark.parametrize("sym", [builtin_models()["h1_example"].symbol,
+                                 _random_range2_symbol(5)], ids=["h1_example", "random_range2"])
+def test_inf_strip_at_minus_t_is_the_folded_halfline(sym):
+    """The edge flow's slice at t, the slope-inf beta strip at k_edge = -t,
+    is the half-line of the symbol folded along its second axis at -t."""
+    family = strip_family(sym, Slope.plus_inf(), "beta", 9)
+    for t in (0.3, 1.7, 3.9, 5.6):
+        got = family.operator(-t, t)
+        want = assemble_halfline(partial_bloch(sym, 1, -t), 9)
+        assert np.max(np.abs(got.dense() - want.dense())) <= 1e-14
+        assert got.t == t
 
 
 def test_edge_strip_bloch_phase_wraps_supercell():

@@ -424,6 +424,48 @@ def test_corner_flow_builds_one_region_and_one_ordering(monkeypatch):
     assert calls["NATURAL"] >= 2 * 8 - 1
 
 
+def test_edge_flow_builds_one_strip_family_and_tracks_finite_t(monkeypatch, models):
+    """An edge flow builds one strip region, MMD-orders its pattern once,
+    never folds or compresses per angle, and tracks a finite grid."""
+    calls = {"strip_region": 0, "MMD_AT_PLUS_A": 0, "NATURAL": 0, "assemble_halfline": 0,
+             "partial_bloch": 0}
+    strip_region, splu = geometry.strip_region, spectra.spla.splu
+    track_branches, crossings = spectra.track_branches, spectra.crossings
+    seen = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counted_splu(*args, permc_spec, **kwargs):
+        calls[permc_spec] += 1
+        return splu(*args, permc_spec=permc_spec, **kwargs)
+
+    def seen_track(slices, *args, **kwargs):
+        seen["grid"] = [sl.t for sl in slices]
+        return track_branches(slices, *args, **kwargs)
+
+    def seen_crossings(track):
+        seen["crossings"] = crossings(track)
+        return seen["crossings"]
+
+    monkeypatch.setattr(geometry, "strip_region", counted("strip_region", strip_region))
+    monkeypatch.setattr(spectra.spla, "splu", counted_splu)
+    for module, name in ((assembly, "assemble_halfline"), (invariants, "partial_bloch"),
+                         (symbol, "partial_bloch")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(spectra, "track_branches", seen_track)
+    monkeypatch.setattr(spectra, "crossings", seen_crossings)
+    assert invariants.edge_spectral_flow(models["h1_example"].symbol, W=12, n_t=12) == 1
+    assert calls["strip_region"] == 1 and calls["MMD_AT_PLUS_A"] == 1
+    assert calls["NATURAL"] >= 2 * 12 - 1
+    assert calls["assemble_halfline"] == 0 and calls["partial_bloch"] == 0
+    assert len(seen["grid"]) == 12 and np.all(np.isfinite(np.array(seen["grid"], dtype=float)))
+    assert seen["crossings"] and all(np.isfinite(c.t) for c in seen["crossings"])
+
+
 def test_lost_crossing_breaks_zero_total_flow(monkeypatch, models):
     """Both flows refuse when the signed crossings of the loop do not sum to 0."""
     crossings = spectra.crossings

@@ -24,6 +24,7 @@ from oracles import (
     oracle_chern_refine,
     oracle_corner_matrix,
     oracle_edge_gap_scan,
+    oracle_edge_spectral_flow,
     oracle_flow_smalls,
     oracle_halfline_kernel,
     oracle_strip_matrix,
@@ -240,3 +241,35 @@ def test_screened_edge_scan_equals_unscreened_oracle(name):
     sym, pair = _edge_scan_cases()[name]
     assert cl.edge_gap_scan(sym, pair, 16, (6, 6)) == \
         oracle_edge_gap_scan(sym, pair, 16, (6, 6))
+
+
+def _edge_flow_cases():
+    h1 = builtin_models()["h1_example"].symbol
+    cases = {"h1_example": h1}
+    cases.update({f"qwz_{mass:+g}": qwz_model(mass) for mass in (1.0, -1.0, -3.0)})
+    cases.update({f"perturbed_{seed}": perturb_onsite(h1, 0.1, seed)
+                  for seed in range(201, 206)})
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_edge_flow_cases()))
+def test_edge_flow_matches_dense_halfline_loop(monkeypatch, name):
+    """The window-solved strip-family flow finds the crossings of the dense
+    per-angle half-line loop: same net, directions, places and weights."""
+    sym = _edge_flow_cases()[name]
+    crossings, found = cl.spectra.crossings, {}
+
+    def kept_crossings(track):
+        found["crossings"] = crossings(track)
+        return found["crossings"]
+
+    monkeypatch.setattr(cl.spectra, "crossings", kept_crossings)
+    net = cl.edge_spectral_flow(sym, W=24, n_t=32)
+    monkeypatch.undo()
+    want_net, want = oracle_edge_spectral_flow(sym, 24, 32)
+    assert net == want_net
+    got = sorted(found["crossings"], key=lambda c: (c.direction, c.t))
+    want = sorted(want, key=lambda c: (c.direction, c.t))
+    assert [c.direction for c in got] == [c.direction for c in want]
+    for c, w in zip(got, want):
+        assert abs(c.t - w.t) <= 1e-9 and abs(c.weight - w.weight) <= 1e-9

@@ -307,6 +307,17 @@ def test_tracking_needs_three_points_and_sorted_grid():
         track_branches([slices[0], bare, slices[2]], window=0.5)
 
 
+def test_tracking_refuses_a_grid_without_finite_t():
+    """A slice without a parameter value would put every crossing at NaN."""
+    slices = _rotated_pair_slices(3)
+    bare = [SpectralSlice(sl.eigenvalues, sl.eigenvectors, "test") for sl in slices]
+    with pytest.raises(TrackingError, match="finite"):
+        track_branches(bare, window=0.5)
+    slices[2].t = np.inf
+    with pytest.raises(TrackingError, match="finite"):
+        track_branches(slices, window=0.5)
+
+
 def test_tracking_ambiguity_raises_without_refinement():
     e0 = np.array([[1.0], [0.0]], dtype=complex)
     e1 = np.array([[0.0], [1.0]], dtype=complex)

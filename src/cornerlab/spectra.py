@@ -145,15 +145,20 @@ def _count_below(pattern, values, shift):
 def diagonalize_window(op, window, k=None):
     """Eigenpairs of every eigenvalue in [-1.05 * window, 1.05 * window].
 
-    Certificate: two symmetric-mode factorizations of A -+ 1.05 * window
-    give, by Sylvester's law of inertia, the exact number ``count`` of
-    eigenvalues in that interval.  An empty interval returns at once.
-    Otherwise a seeded random block of ``count + 8`` vectors is driven by
-    A^{-1}, solved with the same symmetric L D L^H factorization taken at 0
-    (or 1.3e-6, 4.1e-6 if A is singular), with a Rayleigh-Ritz step on A
-    after every sweep, until exactly ``count`` Ritz pairs inside the interval
-    meet the residual contract.  The random block has full projection onto
-    every eigenspace, so exact degeneracies come out whole and orthonormal.
+    Certificate: two symmetric-mode factorizations of A -+ edge, edge =
+    1.05 * window, give by Sylvester's law of inertia the exact number
+    ``count`` of eigenvalues in [-edge, edge]; an empty interval returns
+    after these 2.  Otherwise counts at -+ 2 * edge give the ``annulus`` of
+    eigenvalues with edge < |lambda| < 2 * edge, and a seeded random block
+    of ``count + min(annulus, 8)`` vectors (``count + 8`` if a sizing count
+    fails) is driven by A^{-1}, solved with the same symmetric L D L^H
+    factorization taken at 0 (or 1.3e-6, 4.1e-6 if A is singular): 5
+    factorizations.  While the annulus holds at most 8, every eigenvalue
+    outside the block has |lambda| >= 2 * edge, so a sweep shrinks its share
+    by at least 1/2.  A Rayleigh-Ritz step on A follows every sweep, until
+    exactly ``count`` Ritz pairs inside the interval meet the residual
+    contract.  The random block has full projection onto every eigenspace,
+    so exact degeneracies come out whole and orthonormal.
 
     All factorizations run on the ``pattern`` that the operator's family shares
     (or on one of its own), so a family is MMD-ordered once, by its first count.
@@ -163,7 +168,7 @@ def diagonalize_window(op, window, k=None):
     a block that has not converged to ``count`` pairs after
     ``_BLOCK_MAX_SWEEPS`` sweeps, raises EigensolverError.
 
-    ``k`` is ignored; the block size follows from the count.
+    ``k`` is ignored; the block size follows from the counts.
     """
     if not 0 < window < np.inf:
         raise ValueError(f"window must be positive and finite, got {window}")
@@ -176,9 +181,14 @@ def diagonalize_window(op, window, k=None):
     if count == 0:
         return SpectralSlice(np.empty(0), np.empty((n, 0), dtype=complex), op.kind,
                              t=op.t, k_edge=op.k_edge, region=op.region)
+    try:  # a failed sizing count costs sweeps, never the result
+        annulus = (_count_below(pattern, values, 2 * edge)
+                   - _count_below(pattern, values, -2 * edge) - count)
+    except EigensolverError:
+        annulus = 8
+    size = min(count + min(annulus, 8), n)
     norm_a = float(np.abs(matrix).sum(axis=1).max())
     lu = _factor(pattern, values, 0.0, 1.3e-6, 4.1e-6)
-    size = min(count + 8, n)
     rng = np.random.default_rng(_BLOCK_SEED)
     block = rng.standard_normal((n, size)) + 1j * rng.standard_normal((n, size))
     tol = RESIDUAL_REL_TOL * norm_a

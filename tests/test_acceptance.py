@@ -51,8 +51,8 @@ def test_criterion_1_example_integers(models, product_flow, timings):
     net, _ = product_flow
     assert net == 1, f"corner spectral flow {net} != +1"
     flow_s = timings["corner_flow_product"]
-    # Measured 1.5-1.9 s on a 2-core VM with one BLAS thread; about 2x margin.
-    assert flow_s < 4.0, f"corner flow took {flow_s:.1f}s, budget 4s"
+    # Measured 1.1-1.2 s on a 2-core VM with one BLAS thread; about 2x margin.
+    assert flow_s < 2.5, f"corner flow took {flow_s:.1f}s, budget 2.5s"
 
     pair = cl.bulk_edge_pair(h1, h2, g)
     assert pair == (2, 1), f"bulk-edge pair {pair} != (2, 1)"
@@ -79,8 +79,8 @@ def test_criterion_3_product_formula(models, combo_flows, timings):
         assert net == i1 * i2 == want, (
             f"{n1} x {n2}: flow {net}, factors {i1}*{i2}, expected {want}")
     total_s = timings["corner_flow_combos"]
-    # Measured 4.9-6.3 s on a 2-core VM with one BLAS thread; about 2x margin.
-    assert total_s < 12.0, f"combo flows took {total_s:.1f}s, budget 12s"
+    # Measured 3.8-4.2 s on a 2-core VM with one BLAS thread; about 2x margin.
+    assert total_s < 9.0, f"combo flows took {total_s:.1f}s, budget 9s"
     print(f"criterion 3 (product formula 1/0/2/0): PASS [{total_s:.1f}s]")
 
 

@@ -95,18 +95,25 @@ def _block_diagonal_op(eigenvalues, seed):
 
 
 @pytest.mark.parametrize("n", [40, 200, 720])
-@pytest.mark.parametrize("on_shift", [False, True])
-def test_window_solver_inertia_count(n, on_shift):
+@pytest.mark.parametrize("extra", [False, True, "crowded", "on_sizing"])
+def test_window_solver_inertia_count(n, extra):
     """Exact count and full coverage, with eigenvalues at and next to the shifts.
 
     Eigenvalues: a 4-fold pair at +-0.2, +-1.04w and +-1.06w just inside
-    and outside the counting shifts 1.05w, optionally +-1.05w(1 -+ 1e-9)
-    right on them, and the rest spread over +-[1, 3].
+    and outside the counting shifts 1.05w, and the rest spread over +-[1, 3].
+    ``extra`` adds: nothing (False); +-1.05w(1 -+ 1e-9) right on the
+    counting shifts (True); 12 more in the annulus (1.05w, 2.1w], so the
+    block's cap of 8 binds ("crowded"); or +-2.1w(1 -+ 1e-9) right on the
+    sizing shifts ("on_sizing").
     """
     w = 0.45
     special = [0.2] * 4 + [-0.2] * 4 + [1.04 * w, -1.04 * w, 1.06 * w, -1.06 * w]
-    if on_shift:
+    if extra is True:
         special += [s * 1.05 * w * (1 + d) for s in (1, -1) for d in (1e-9, -1e-9)]
+    elif extra == "crowded":
+        special += list(np.linspace(1.1, 2.0, 6) * w) + list(np.linspace(-2.05, -1.15, 6) * w)
+    elif extra == "on_sizing":
+        special += [s * 2.1 * w * (1 + d) for s in (1, -1) for d in (1e-9, -1e-9)]
     rng = np.random.default_rng(n)
     rest = rng.uniform(1.0, 3.0, n - len(special)) * rng.choice([-1.0, 1.0], n - len(special))
     eigenvalues = np.concatenate([special, rest])
@@ -115,14 +122,76 @@ def test_window_solver_inertia_count(n, on_shift):
     sl = diagonalize_window(op, w)
 
     dense = np.linalg.eigvalsh(op.dense())
+    if extra == "crowded":
+        assert np.count_nonzero((np.abs(dense) > 1.05 * w) & (np.abs(dense) <= 2.1 * w)) >= 10
     inside = np.sort(dense[np.abs(dense) <= w])
     got = sl.eigenvalues[np.abs(sl.eigenvalues) <= w]
     assert got.size == inside.size
     assert np.allclose(got, inside, atol=1e-9)
     gram = sl.eigenvectors.conj().T @ sl.eigenvectors
     assert np.max(np.abs(gram - np.eye(sl.eigenvalues.size))) < 1e-10
-    if not on_shift:
+    if extra is not True:
         assert sl.eigenvalues.size == np.count_nonzero(np.abs(dense) <= 1.05 * w)
+
+
+class _CountedSolves:
+    """A factorization whose ``solve`` records the width of each block it gets."""
+
+    def __init__(self, lu, widths):
+        self._lu, self._widths = lu, widths
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+    def solve(self, rhs):
+        self._widths.append(rhs.shape[1])
+        return self._lu.solve(rhs)
+
+
+def test_window_solver_certificate_cost(monkeypatch):
+    """Factorizations per slice: 2 counts for an empty window; for an occupied
+    one 2 counts, 2 sizing counts at -+2.1w and 1 solve factor at 0, whose
+    first solve gets ``count + min(annulus, 8)`` columns.  A failing sizing
+    count falls back to ``count + 8`` and still returns the dense pairs."""
+    w, edge = 0.45, 1.05 * 0.45
+    counted, factored, widths, fail_at = [], [], [], []
+    count_below, factor = spectra._count_below, spectra._factor
+
+    def counting(pattern, values, shift):
+        counted.append(shift)
+        if shift in fail_at:
+            raise EigensolverError("forced")
+        return count_below(pattern, values, shift)
+
+    def factoring(pattern, values, *shifts):
+        factored.append(shifts[0])
+        return _CountedSolves(factor(pattern, values, *shifts), widths)
+
+    monkeypatch.setattr(spectra, "_count_below", counting)
+    monkeypatch.setattr(spectra, "_factor", factoring)
+
+    empty = _block_diagonal_op([1.0, -1.0, 1.5, -1.5, 2.0, -2.0], seed=0)
+    assert diagonalize_window(empty, w).eigenvalues.size == 0
+    assert counted == factored == [edge, -edge] and widths == []
+
+    few = [0.1, -0.1, 0.2, -0.2, 0.6, -0.7] + [2.5, -2.5] * 6
+    crowded = [0.1, -0.1] + list(np.linspace(0.5, 0.9, 10)) + [2.5, -2.5] * 6
+    for spectrum, fail in [(few, []), (crowded, []), (few, [2 * edge])]:
+        for log in (counted, factored, widths):
+            log.clear()
+        fail_at[:] = fail
+        op = _block_diagonal_op(spectrum, seed=1)
+        sl = diagonalize_window(op, w)
+        dense = np.linalg.eigvalsh(op.dense())
+        count = np.count_nonzero(np.abs(dense) <= edge)
+        annulus = np.count_nonzero(np.abs(dense) < 2 * edge) - count
+        sizing = [] if fail else [2 * edge, -2 * edge]
+        assert counted == [edge, -edge, 2 * edge] + sizing[1:]
+        assert factored == [edge, -edge] + sizing + [0.0]
+        assert widths[0] == count + (8 if fail else min(annulus, 8))
+        assert np.allclose(sl.eigenvalues, dense[np.abs(dense) <= edge], atol=1e-12)
+        gram = sl.eigenvectors.conj().T @ sl.eigenvectors
+        assert np.max(np.abs(gram - np.eye(count))) < 1e-10
 
 
 def _zero_eigenvalue_op():

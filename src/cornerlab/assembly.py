@@ -22,12 +22,6 @@ from .errors import GeometryError, ModelError
 
 ASSEMBLY_HERMITICITY_TOL = 1e-12
 
-KIND_BULK = "bulk"
-KIND_EDGE_ALPHA = "edge_alpha"
-KIND_EDGE_BETA = "edge_beta"
-KIND_CORNER = "corner"
-KIND_HALFLINE = "halfline"
-
 
 @dataclass
 class AssembledOperator:
@@ -39,10 +33,8 @@ class AssembledOperator:
     """
 
     matrix: sp.spmatrix
-    kind: str
     region: "geometry.LatticeRegion | None" = None
     t: float | None = None
-    k_edge: float | None = None
     pattern: "spectra.FactorPattern | None" = None
 
     def __post_init__(self):
@@ -50,7 +42,7 @@ class AssembledOperator:
             return
         herm_defect = abs(self.matrix - self.matrix.conj().T)
         if herm_defect.nnz and herm_defect.max() > ASSEMBLY_HERMITICITY_TOL:
-            raise ModelError(f"assembled {self.kind} matrix is not Hermitian")
+            raise ModelError("assembled matrix is not Hermitian")
 
     @property
     def shape(self):
@@ -65,7 +57,7 @@ def assemble_bulk(sym, k):
     k = np.atleast_1d(np.asarray(k, dtype=float))
     mat = sp.csr_matrix(symbol.evaluate_bloch(sym, k))
     t = float(k[-1]) if sym.dim == 3 else None
-    return AssembledOperator(mat, KIND_BULK, region=None, t=t)
+    return AssembledOperator(mat, t=t)
 
 
 @dataclass
@@ -88,7 +80,6 @@ class OperatorFamily:
     """
 
     region: "geometry.LatticeRegion"
-    kind: str
     dim: int
     terms: np.ndarray
     coeffs: np.ndarray
@@ -105,7 +96,7 @@ class OperatorFamily:
         angle = self.terms[:, 0] * k_edge - self.terms[:, 1] * (t if self.dim == 3 else 0.0)
         vals = (np.exp(1j * angle)[:, None] * self.coeffs).sum(axis=0)
         if np.abs(vals - vals[self.transpose].conj()).max(initial=0) > ASSEMBLY_HERMITICITY_TOL:
-            raise ModelError(f"assembled {self.kind} matrix is not Hermitian")
+            raise ModelError("assembled matrix is not Hermitian")
         return vals
 
     def banded(self, k_edge, t=None):
@@ -118,11 +109,10 @@ class OperatorFamily:
         """CSC on ``pattern``; ``k_edge`` is None off a strip."""
         mat = sp.csc_matrix((self._checked_values(k_edge or 0.0, t), self.pattern.indices,
                              self.pattern.indptr), shape=(self.region.dof,) * 2)
-        return AssembledOperator(mat, self.kind, self.region, t if t is None else float(t),
-                                 k_edge if k_edge is None else float(k_edge), self.pattern)
+        return AssembledOperator(mat, self.region, t if t is None else float(t), self.pattern)
 
 
-def _family(sym, region, kind, reduce=None):
+def _family(sym, region, reduce=None):
     """The family of ``sym`` on ``region``: hop h takes column site s to
     ``targets[h, s]``, whose row site position (-1: dropped) and supercell
     index j are ``reduce(targets)``, by default the target itself and 0.
@@ -156,7 +146,7 @@ def _family(sym, region, kind, reduce=None):
     coeffs[term, slot[:keys.size]] = blocks[hop, orb]
     transpose = np.empty_like(slot, shape=entries.size)
     transpose[slot] = slot[np.r_[keys.size:2 * keys.size, :keys.size, 2 * keys.size:slot.size]]
-    return OperatorFamily(region, kind, sym.dim, np.column_stack(np.divmod(codes, span[1])) + low,
+    return OperatorFamily(region, sym.dim, np.column_stack(np.divmod(codes, span[1])) + low,
                           coeffs, entries, transpose, spectra.FactorPattern(
                               np.searchsorted(entries, np.arange(n + 1) * n), entries % n))
 
@@ -171,7 +161,7 @@ def corner_family(sym, pair, L):
     rng = max(sym.hopping_range()[:2])
     if rng > L:
         raise GeometryError(f"hopping range {rng} exceeds corner size L={L}")
-    return _family(sym, geometry.wedge_region(pair, L, sym.norb), KIND_CORNER)
+    return _family(sym, geometry.wedge_region(pair, L, sym.norb))
 
 
 def assemble_corner(sym, pair, L, t):
@@ -204,8 +194,7 @@ def strip_family(sym, slope, which, W):
             raise GeometryError(f"supercell reduction failed for site {tuple(lost[0].tolist())}")
         return np.where(inside, pos, -1), j
 
-    kind = KIND_EDGE_ALPHA if which == geometry.ALPHA else KIND_EDGE_BETA
-    family, norb, n = _family(sym, region, kind, reduce), sym.norb, region.dof
+    family, norb, n = _family(sym, region, reduce), sym.norb, region.dof
     rank = np.empty(region.n_sites, dtype=np.int64)
     rank[np.argsort(list(depths.values()), kind="stable")] = np.arange(region.n_sites)
     dof_rank = (rank[:, None] * norb + np.arange(norb)).ravel()
@@ -230,4 +219,4 @@ def assemble_halfline(sym, W):
         raise GeometryError(f"W={W} must exceed the hopping range {rng}")
     region = geometry.LatticeRegion(
         np.column_stack((np.arange(W), np.zeros(W, dtype=int))), sym.norb)
-    return _family(sym, region, KIND_HALFLINE).operator()
+    return _family(sym, region).operator()

@@ -40,22 +40,22 @@ PERTURB_NORM = 0.1  # on-site disorder strength used when --seed is given
 
 @dataclass
 class RunConfig:
-    """Parsed flags, echoed verbatim into every output document."""
+    """Parsed flags, echoed verbatim into every output document (defaults: ``_add_common``)."""
 
     command: str
+    alpha: str
+    beta: str
+    L: int
+    W: int
+    t_grid: int
+    k_grid: int
+    window: float | None
+    mask_threshold: float
+    out: str
+    seed: int | None
+    no_timestamps: bool
     model: str | None = None
     builtin: str | None = None
-    alpha: str = "0"
-    beta: str = "inf"
-    L: int = 24
-    W: int = 40
-    t_grid: int = 64
-    k_grid: int = 16
-    window: float | None = None
-    mask_threshold: float = 0.6
-    out: str = "."
-    seed: int | None = None
-    no_timestamps: bool = False
     gap_threshold: float | None = None
     sweep_axis: int | None = None
     h1: str | None = None
@@ -299,16 +299,7 @@ def cmd_corner_flow(cfg):
         "grid_points": detail.grid_points,
         "threshold": detail.threshold,
         "edge_gaps": [float(g) for g in detail.edge_gaps],
-        "crossings": [
-            {
-                "t": float(c.t),
-                "direction": int(c.direction),
-                "multiplicity": int(c.multiplicity),
-                "weight": None if c.weight is None else float(c.weight),
-                "member_weights": [float(w) for w in c.member_weights],
-            }
-            for c in detail.crossings
-        ],
+        "crossings": [asdict(c) for c in detail.crossings],
     })
     svg_path = os.path.join(cfg.out, "corner_flow.svg")
     _svg_flow_plot(svg_path, detail.samples, detail.threshold, detail.window,
@@ -370,11 +361,14 @@ def _add_common(sp, with_model=True):
     sp.add_argument("--alpha", default="0", help="first edge slope (p/q or -inf)")
     sp.add_argument("--beta", default="inf", help="second edge slope (p/q or inf)")
     sp.add_argument("--L", type=int, default=24, help="corner truncation radius")
-    sp.add_argument("--W", type=int, default=40, help="edge strip depth")
+    sp.add_argument("--W", type=int, default=40,
+                    help="edge strip depth of the edge-gap and report scans (a corner "
+                         f"flow's Fredholm scan is fixed at {invariants._FLOW_EDGE_W})")
     sp.add_argument("--t-grid", type=int, default=64, dest="t_grid",
                     help="points on the parameter circle")
     sp.add_argument("--k-grid", type=int, default=16, dest="k_grid",
-                    help="points per angle in edge-gap scans")
+                    help="points per angle in the edge-gap and report scans (a corner "
+                         "flow's Fredholm scan is fixed at %dx%d)" % invariants._FLOW_EDGE_GRID)
     sp.add_argument("--window", type=float, default=None,
                     help="tracking half-width (default: scaled to the edge gap)")
     sp.add_argument("--mask-threshold", type=float, default=0.6, dest="mask_threshold",

@@ -14,7 +14,7 @@ residual check) or raises.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -37,6 +37,7 @@ _FLOW_EDGE_GRID = (8, 8)
 _WEAK_GRID = 20
 _LINK_FLOOR = 1e-3
 _FLUX_CEILING = 0.99 * np.pi
+_MERGE_TOL = 1e-6
 
 
 class _RefineNeeded(Exception):
@@ -226,7 +227,7 @@ def _bulk_gap_on_grid(sym, n):
 
 
 def _halfline_kernel_states(sym, grading, W):
-    """Grading form on the near-kernel of the half-line compression.
+    """Grading form on the near-kernel of the half-line compression, and W.
 
     Raises _RefineNeeded if W is below twice the hopping range, where the
     near half reaches into the far wall's kernel, or if some near-zero state
@@ -249,7 +250,28 @@ def _halfline_kernel_states(sym, grading, W):
                             "across both walls")
     v = sl.eigenvectors[:, idx[weights >= KERNEL_WEIGHT_MIN]]
     form = v.conj().T @ np.kron(np.eye(W), grading.matrix) @ v
-    return 0.5 * (form + form.conj().T)
+    return 0.5 * (form + form.conj().T), W
+
+
+def _kernel_detail(sym, grading, W):
+    """``(invariant, W)``: :func:`kernel_signature` and the W it settled on."""
+    W = geometry.lattice_size("W", W)
+    if sym.dim != 1:
+        raise ModelError(f"kernel signature needs a dim-1 symbol, got dim {sym.dim}")
+    if not check_chiral(sym, grading):
+        raise ModelError("grading does not anticommute with the symbol")
+    _bulk_gap_on_grid(sym, 64)
+    form, W = _refined(partial(_halfline_kernel_states, sym, grading), W, "half-line kernel")
+    if form.shape[0] == 0:
+        return 0, W
+    chis = np.linalg.eigvalsh(form)
+    if np.any(np.abs(chis) < KERNEL_WEIGHT_MIN):
+        raise ResidualError(
+            "kernel states lack definite grading sign; increase W or lower "
+            "the kernel tolerance"
+        )
+    signature = int(np.sum(chis > 0) - np.sum(chis < 0))
+    return -signature, W
 
 
 def kernel_signature(sym, grading, W=40):
@@ -269,23 +291,7 @@ def kernel_signature(sym, grading, W=40):
     doubled W fails too, ResidualError is raised.  A Bloch gap closing on
     a 64-point grid raises GapClosedError.
     """
-    W = geometry.lattice_size("W", W)
-    if sym.dim != 1:
-        raise ModelError(f"kernel signature needs a dim-1 symbol, got dim {sym.dim}")
-    if not check_chiral(sym, grading):
-        raise ModelError("grading does not anticommute with the symbol")
-    _bulk_gap_on_grid(sym, 64)
-    form = _refined(partial(_halfline_kernel_states, sym, grading), W, "half-line kernel")
-    if form.shape[0] == 0:
-        return 0
-    chis = np.linalg.eigvalsh(form)
-    if np.any(np.abs(chis) < KERNEL_WEIGHT_MIN):
-        raise ResidualError(
-            "kernel states lack definite grading sign; increase W or lower "
-            "the kernel tolerance"
-        )
-    signature = int(np.sum(chis > 0) - np.sum(chis < 0))
-    return -signature
+    return _kernel_detail(sym, grading, W)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +340,7 @@ def _clusters_in_reach(sl, best, margin):
     last = np.concatenate((splits - 1, [vals.size - 1]))
     meets = np.nonzero((vals[last] > -best - margin) & (vals[first] < best + margin))[0]
     lo, hi = (first[meets[0]], last[meets[-1]] + 1) if meets.size else (0, 0)
-    return spectra.SpectralSlice(vals[lo:hi], sl.eigenvectors[:, lo:hi], sl.kind,
-                                 t=sl.t, k_edge=sl.k_edge, region=sl.region)
+    return replace(sl, eigenvalues=vals[lo:hi], eigenvectors=sl.eigenvectors[:, lo:hi])
 
 
 def _scan_grid(grid):
@@ -440,10 +445,10 @@ class FlowDetail:
         return net
 
 
-def _merge_crossings(raw, tol=1e-6):
+def _merge_crossings(raw):
     rows = []
     for c in sorted(raw, key=lambda c: (c.t, -c.direction)):
-        if rows and rows[-1].direction == c.direction and abs(rows[-1].t - c.t) <= tol:
+        if rows and rows[-1].direction == c.direction and abs(rows[-1].t - c.t) <= _MERGE_TOL:
             prev = rows[-1]
             # Sorted, so that the solver's basis of a degenerate eigenspace is not output.
             members = tuple(sorted(
@@ -687,19 +692,8 @@ class InvariantReport:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "min_edge_gap_alpha": self.min_edge_gap_alpha,
-            "min_edge_gap_beta": self.min_edge_gap_beta,
-            "chern_2dA": self.chern_2dA,
-            "winding_1dAIII": self.winding_1dAIII,
-            "kernel_signature": self.kernel_signature,
-            "weak": None if self.weak is None else list(self.weak),
-            "corner_sf": self.corner_sf,
-            "bulk_edge_pair": (
-                None if self.bulk_edge_pair is None else list(self.bulk_edge_pair)
-            ),
-            "provenance": self.provenance,
-        }
+        """Every field, the tuples ``weak`` and ``bulk_edge_pair`` as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -755,11 +749,11 @@ def compute_report(sym, pair, *, W=40, edge_grid=(16, 16), L=24, n_t=64,
         w, w_res, w_grid = _winding_detail(h2, grading, 256)
         report.chern_2dA = -c
         report.winding_1dAIII = -w
-        report.kernel_signature = kernel_signature(h2, grading)
+        report.kernel_signature, kernel_W = _kernel_detail(h2, grading, 40)
         report.bulk_edge_pair = (_pair_rank(h1, h2), c * w)
         provenance["residuals"]["chern"] = c_res
         provenance["residuals"]["winding"] = w_res
         provenance["chern_grid"] = c_grid
         provenance["winding_grid"] = w_grid
-        provenance["kernel_W"] = 40
+        provenance["kernel_W"] = kernel_W
     return report

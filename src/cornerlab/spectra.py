@@ -7,7 +7,7 @@ values by eigenvector overlap, and every linked pair whose sign changes
 is one signed zero crossing.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sparse
@@ -30,9 +30,7 @@ class SpectralSlice:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-    kind: str
     t: float | None = None
-    k_edge: float | None = None
     region: object | None = None
 
     def __post_init__(self):
@@ -41,17 +39,14 @@ class SpectralSlice:
             raise EigensolverError("eigenvalues must be ascending")
 
 
-def _check_residuals(matrix, vals, vecs, sample=None, norm_a=None):
-    """Residual contract ||A v - lambda v|| <= tol * ||A|| on (a sample of) pairs."""
+def _check_residuals(matrix, vals, vecs, norm_a=None):
+    """Residual contract ||A v - lambda v|| <= tol * ||A|| on every pair."""
     if vals.size == 0:
         return
     if norm_a is None:
         norm_a = np.max(np.abs(vals))
     norm_a = max(norm_a, 1e-300)
-    idx = np.arange(vals.size)
-    if sample is not None and vals.size > sample:
-        idx = np.linspace(0, vals.size - 1, sample).astype(int)
-    resid = matrix @ vecs[:, idx] - vecs[:, idx] * vals[idx]
+    resid = matrix @ vecs - vecs * vals
     worst = np.max(np.linalg.norm(resid, axis=0))
     if worst > RESIDUAL_REL_TOL * norm_a:
         raise EigensolverError(
@@ -62,16 +57,16 @@ def _check_residuals(matrix, vals, vecs, sample=None, norm_a=None):
 def diagonalize(op):
     """Full dense spectrum of an assembled operator.
 
-    Eigensolver failures surface as EigensolverError; the returned pairs
-    satisfy the residual contract of SpectralSlice.
+    Eigensolver failures surface as EigensolverError; every returned pair
+    satisfies the residual contract of ``_check_residuals``.
     """
     dense = op.dense()
     try:
         vals, vecs = np.linalg.eigh(dense)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
-    _check_residuals(dense, vals, vecs, sample=None if len(vals) <= 256 else 8)
-    return SpectralSlice(vals, vecs, op.kind, t=op.t, k_edge=op.k_edge, region=op.region)
+    _check_residuals(dense, vals, vecs)
+    return SpectralSlice(vals, vecs, op.t, op.region)
 
 
 class FactorPattern:
@@ -179,8 +174,7 @@ def diagonalize_window(op, window, k=None):
     edge = 1.05 * window
     count = _count_below(pattern, values, edge) - _count_below(pattern, values, -edge)
     if count == 0:
-        return SpectralSlice(np.empty(0), np.empty((n, 0), dtype=complex), op.kind,
-                             t=op.t, k_edge=op.k_edge, region=op.region)
+        return SpectralSlice(np.empty(0), np.empty((n, 0), dtype=complex), op.t, op.region)
     try:  # a failed sizing count costs sweeps, never the result
         annulus = (_count_below(pattern, values, 2 * edge)
                    - _count_below(pattern, values, -2 * edge) - count)
@@ -203,8 +197,7 @@ def diagonalize_window(op, window, k=None):
         if np.count_nonzero(keep) == count:
             vals, vecs = theta[keep], block[:, keep]
             _check_residuals(matrix, vals, vecs, norm_a=norm_a)
-            return SpectralSlice(vals, vecs, op.kind, t=op.t, k_edge=op.k_edge,
-                                 region=op.region)
+            return SpectralSlice(vals, vecs, op.t, op.region)
     raise EigensolverError(
         f"window eigensolver did not converge to the {count} eigenpairs in "
         f"|lambda| <= {edge:.3g} after {_BLOCK_MAX_SWEEPS} sweeps")
@@ -283,9 +276,7 @@ def sharpen_degeneracies(sl, mask, matrix=None):
     if not changed:
         return sl
     order = np.argsort(vals, kind="stable")
-    return SpectralSlice(
-        vals[order], vecs[:, order], sl.kind, t=sl.t, k_edge=sl.k_edge, region=sl.region
-    )
+    return replace(sl, eigenvalues=vals[order], eigenvectors=vecs[:, order])
 
 
 # ---------------------------------------------------------------------------

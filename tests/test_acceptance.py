@@ -168,10 +168,10 @@ def test_criterion_7_property_suites(models, pair0inf, product_flow,
         assembly.assemble_edge_strip(prod, pair0inf.alpha, "alpha", 12, 0.7, t=1.1),
         assembly.assemble_corner(prod, pair0inf, 10, 2.2),
     ]
-    for op in ops:
+    for name, op in zip(("halfline", "edge strip", "corner"), ops):
         dense = op.dense()
         herm = float(np.abs(dense - dense.conj().T).max())
-        assert herm <= 1e-12, f"{op.kind}: Hermiticity defect {herm:.2e}"
+        assert herm <= 1e-12, f"{name}: Hermiticity defect {herm:.2e}"
 
     # Grid-doubling stability of the bulk invariants.
     assert cl.chern_number(h1, grid=40) == cl.chern_number(h1, grid=80)

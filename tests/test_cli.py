@@ -57,15 +57,21 @@ def test_edge_gap_fail_still_exits_zero(tmp_path, capsys):
     assert doc["alpha_min"] < 1e-8
 
 
-def test_edge_gap_json_is_deterministic(tmp_path):
-    """Identical flags give byte-identical JSON, run after run."""
-    args = ("edge-gap", "--builtin", "product_example", "--W", "12",
-            "--k-grid", "4", "--out", str(tmp_path))
+@pytest.mark.parametrize("args, written", [
+    (("edge-gap", "--builtin", "product_example", "--W", "12", "--k-grid", "4"),
+     ("edge_gap.json",)),
+    (("corner-flow", "--builtin", "product_example", "--L", "10", "--t-grid", "16",
+      "--no-timestamps"), ("corner_flow.json", "corner_flow.svg")),
+    (("report", "--builtin", "product_example", "--L", "8", "--W", "8", "--t-grid", "8",
+      "--k-grid", "2", "--h1", "h1_example", "--h2", "h2_example"), ("report.json",)),
+], ids=["edge-gap", "corner-flow", "report"])
+def test_json_is_deterministic(tmp_path, args, written):
+    """Identical flags give byte-identical documents, run after run."""
+    args = args + ("--out", str(tmp_path))
     assert run(*args) == 0
-    first = (tmp_path / "edge_gap.json").read_bytes()
+    first = [(tmp_path / name).read_bytes() for name in written]
     assert run(*args) == 0
-    second = (tmp_path / "edge_gap.json").read_bytes()
-    assert first == second
+    assert [(tmp_path / name).read_bytes() for name in written] == first
 
 
 def test_corner_flow_small_product(tmp_path, capsys):
@@ -79,6 +85,12 @@ def test_corner_flow_small_product(tmp_path, capsys):
     ups = [c for c in doc["crossings"]
            if c["direction"] == 1 and max(c["member_weights"], default=0) >= 0.6]
     assert len(ups) == 1
+    for c in doc["crossings"]:
+        assert {k: type(v).__name__ for k, v in c.items()} == {
+            "t": "float", "direction": "int", "multiplicity": "int", "weight": "float",
+            "member_weights": "list"}
+        assert len(c["member_weights"]) == c["multiplicity"]
+        assert all(type(w) is float for w in c["member_weights"])
     svg = (tmp_path / "corner_flow.svg").read_text()
     assert 'fill="#d62728"' in svg  # corner-localized branch highlighted
 

@@ -147,13 +147,39 @@ def test_compute_report_records_int_edge_grid(models, grid):
         models["product_example"].symbol, PAIR, 8, (2, 2))
 
 
+def test_report_provenance_records_the_kernel_W_used(models):
+    """W=40 is below twice the hopping range 25 of the shift, so the half-line
+    kernel is refined to W=80, and the provenance says so."""
+    h2, g = chiral_shift_model(25)
+    report = cl.compute_report(models["product_example"].symbol, PAIR, W=8, edge_grid=2,
+                               L=8, n_t=8, factors=(models["h1_example"].symbol, h2, g))
+    assert report.kernel_signature == -25
+    assert report.provenance["kernel_W"] == 80
+
+
+def test_report_document_has_exactly_the_report_fields(models):
+    """``to_dict`` writes the nine fields, tuples as lists, in JSON types."""
+    report = cl.compute_report(
+        models["product_example"].symbol, PAIR, W=8, edge_grid=2, L=8, n_t=8,
+        factors=(models["h1_example"].symbol, models["h2_example"].symbol,
+                 models["h2_example"].grading))
+    doc = report.to_dict()
+    assert type(doc["weak"]) is list and type(doc["bulk_edge_pair"]) is list
+    types = {k: type(v).__name__ for k, v in json.loads(report.to_json()).items()}
+    assert types == {
+        "min_edge_gap_alpha": "float", "min_edge_gap_beta": "float", "chern_2dA": "int",
+        "winding_1dAIII": "int", "kernel_signature": "int", "weak": "list",
+        "corner_sf": "int", "bulk_edge_pair": "list", "provenance": "dict"}
+    assert doc["weak"] == [0, 0, 0] and doc["bulk_edge_pair"] == [2, 1]
+
+
 def test_strip_bound_covers_sharpened_cluster_straddling_zero():
     """Sharpening rotates a cluster that straddles 0 to Rayleigh values
     below its smallest |eigenvalue|, so the screen bounds such a strip by 0;
     a strip without one is bounded by its smallest |eigenvalue| less margin."""
     region = geometry.LatticeRegion([(0, 0), (1, 0), (2, 0)], 1)
     h = np.array([[0, 4e-5, 0], [4e-5, 0, 0], [0, 0, 1.0]], complex)
-    op = AssembledOperator(sp.csr_matrix(h), "test", region=region)
+    op = AssembledOperator(sp.csr_matrix(h), region=region)
     sl = spectra.sharpen_degeneracies(
         spectra.diagonalize(op), lambda site: site[0] == 0, matrix=op.matrix)
     assert np.min(np.abs(sl.eigenvalues)) < 1e-12
@@ -183,7 +209,7 @@ def test_strip_bound_refuses_a_band_the_solver_cannot_take():
 
 def _cluster_slice(vals):
     vals = np.asarray(vals, dtype=float)
-    return spectra.SpectralSlice(vals, np.eye(vals.size, dtype=complex), "test")
+    return spectra.SpectralSlice(vals, np.eye(vals.size, dtype=complex))
 
 
 def test_partial_sharpening_keeps_whole_clusters_in_reach():

@@ -128,7 +128,7 @@ def test_library_tracking_agrees_with_flow_oracle():
         slices = []
         for t in grid:
             vals, vecs = np.linalg.eigh(fam(t))
-            slices.append(SpectralSlice(vals, vecs, "synthetic", t=float(t)))
+            slices.append(SpectralSlice(vals, vecs, t=float(t)))
         calls.clear()
         found = crossings(track_branches(slices, window=0.5, weight_fn=weight_fn))
         net = sum(c.direction for c in found)

@@ -23,7 +23,7 @@ def _random_hermitian_op(n, seed):
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = 0.5 * (raw + raw.conj().T)
-    return assembly.AssembledOperator(sp.csr_matrix(h), "test")
+    return assembly.AssembledOperator(sp.csr_matrix(h))
 
 
 def test_dense_diagonalize_reconstructs():
@@ -36,9 +36,26 @@ def test_dense_diagonalize_reconstructs():
         assert np.all(np.diff(sl.eigenvalues) >= 0)
 
 
+def test_dense_residual_check_covers_every_pair(monkeypatch):
+    """A 300-dof solve whose eigenvector at index 1 is wrong is refused; a
+    check of 8 evenly spaced pairs (0, 42, 85, ...) would not see it."""
+    op = _random_hermitian_op(300, 7)
+    eigh = np.linalg.eigh
+
+    def corrupted(matrix):
+        vals, vecs = eigh(matrix)
+        vecs = vecs.copy()
+        vecs[:, 1] = vecs[:, 2]
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(EigensolverError, match="residual"):
+        diagonalize(op)
+
+
 def test_eigenvalues_must_be_ascending():
     with pytest.raises(EigensolverError):
-        SpectralSlice(np.array([1.0, 0.0]), None, "test")
+        SpectralSlice(np.array([1.0, 0.0]), None)
 
 
 def test_window_solver_matches_dense_at_degenerate_crossing():
@@ -91,7 +108,7 @@ def _block_diagonal_op(eigenvalues, seed):
         q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         blocks.append(q @ np.diag(pair) @ q.conj().T)
     h = sp.block_diag(blocks, format="csr")
-    return assembly.AssembledOperator(0.5 * (h + h.conj().T), "test")
+    return assembly.AssembledOperator(0.5 * (h + h.conj().T))
 
 
 @pytest.mark.parametrize("n", [40, 200, 720])
@@ -197,7 +214,7 @@ def test_window_solver_certificate_cost(monkeypatch):
 def _zero_eigenvalue_op():
     """Diagonal with exact zeros: A itself is exactly singular."""
     diagonal = np.tile([0.0, 0.2, -0.2, 2.0, -2.0], 8).astype(complex)
-    return assembly.AssembledOperator(sp.diags(diagonal, format="csr"), "test")
+    return assembly.AssembledOperator(sp.diags(diagonal, format="csr"))
 
 
 def _chiral_op():
@@ -206,7 +223,7 @@ def _chiral_op():
     size = np.concatenate([[0.1, 0.3, 0.3], rng.uniform(1.0, 3.0, 17)])
     hop = size * np.exp(2j * np.pi * rng.uniform(size=size.size))
     blocks = [np.array([[0.0, a], [np.conj(a), 0.0]]) for a in hop]
-    return assembly.AssembledOperator(sp.block_diag(blocks, format="csr"), "test")
+    return assembly.AssembledOperator(sp.block_diag(blocks, format="csr"))
 
 
 @pytest.mark.parametrize("make_op, singular", [(_zero_eigenvalue_op, True),
@@ -238,7 +255,7 @@ def _real_sparse_op():
     rng = np.random.default_rng(5)
     raw = sp.random(60, 60, density=0.08, random_state=rng)
     return assembly.AssembledOperator(
-        (raw + raw.T + sp.diags(rng.uniform(-2.0, 2.0, 60))).tocsr(), "test")
+        (raw + raw.T + sp.diags(rng.uniform(-2.0, 2.0, 60))).tocsr())
 
 
 def test_preordered_counts_equal_dense_counts():
@@ -268,7 +285,7 @@ def test_preordered_counts_equal_dense_counts():
 def test_window_solver_real_matrix():
     """A real sparse matrix goes through the same complex solve path."""
     op = assembly.AssembledOperator(
-        sp.diags(np.tile([0.1, -0.1, 2.0, -2.0], 5), format="csr"), "test")
+        sp.diags(np.tile([0.1, -0.1, 2.0, -2.0], 5), format="csr"))
 
     sl = diagonalize_window(op, 0.45)
 
@@ -289,7 +306,7 @@ def test_window_solver_rejects_bad_window(window):
 def test_localization_weights():
     region = geometry.LatticeRegion([(0, 0), (7, 0)], 2)
     vecs = np.eye(4, dtype=complex)
-    sl = SpectralSlice(np.zeros(4), vecs, "test", region=region)
+    sl = SpectralSlice(np.zeros(4), vecs, region=region)
     w = all_weights(sl, lambda s: s[0] == 0)
     assert np.allclose(w, [1.0, 1.0, 0.0, 0.0])
     assert localization_weight(sl, 0, lambda s: s[0] == 0) == pytest.approx(1.0)
@@ -301,7 +318,7 @@ def test_sharpen_degeneracies_splits_mixed_corner_pair():
     region = geometry.LatticeRegion([(0, 0), (9, 0)], 1)
     c, s = np.cos(0.7), np.sin(0.7)
     mixed = np.array([[c, -s], [s, c]], dtype=complex)
-    sl = SpectralSlice(np.zeros(2), mixed, "test", region=region)
+    sl = SpectralSlice(np.zeros(2), mixed, region=region)
     out = sharpen_degeneracies(sl, lambda site: site[0] == 0)
     w = all_weights(out, lambda site: site[0] == 0)
     assert np.allclose(sorted(w), [0.0, 1.0], atol=1e-12)
@@ -314,7 +331,7 @@ def test_sharpen_degeneracies_splits_mixed_corner_pair():
 def test_sharpen_degeneracies_keeps_separated_levels():
     region = geometry.LatticeRegion([(0, 0), (9, 0)], 1)
     sl = SpectralSlice(np.array([-1.0, 1.0]), np.eye(2, dtype=complex),
-                       "test", region=region)
+                       region=region)
     out = sharpen_degeneracies(sl, lambda site: site[0] == 0)
     assert out is sl
 
@@ -324,7 +341,7 @@ def test_sharpen_degeneracies_rayleigh_values():
     h = np.diag([2e-5, -2e-5]).astype(complex)
     vals, vecs = np.linalg.eigh(h)
     mix = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
-    sl = SpectralSlice(vals, vecs @ mix, "test", region=region)
+    sl = SpectralSlice(vals, vecs @ mix, region=region)
     out = sharpen_degeneracies(sl, lambda site: site[0] == 0, matrix=h)
     assert np.allclose(np.sort(out.eigenvalues), vals, atol=1e-12)
 
@@ -339,7 +356,7 @@ def _rotated_pair_slices(n_t, omega=1.0):
     for t in grid:
         h = u @ np.diag([np.sin(omega * t), -np.sin(omega * t)]) @ u.conj().T
         vals, vecs = np.linalg.eigh(h)
-        slices.append(SpectralSlice(vals, vecs, "test", t=float(t)))
+        slices.append(SpectralSlice(vals, vecs, t=float(t)))
     return slices
 
 
@@ -371,7 +388,7 @@ def test_tracking_needs_three_points_and_sorted_grid():
     shuffled = [slices[0], slices[2], slices[1]]
     with pytest.raises(TrackingError):
         track_branches(shuffled, window=0.5)
-    bare = SpectralSlice(slices[1].eigenvalues, None, "test", t=slices[1].t)
+    bare = SpectralSlice(slices[1].eigenvalues, None, t=slices[1].t)
     with pytest.raises(TrackingError, match="eigenvectors"):
         track_branches([slices[0], bare, slices[2]], window=0.5)
 
@@ -379,7 +396,7 @@ def test_tracking_needs_three_points_and_sorted_grid():
 def test_tracking_refuses_a_grid_without_finite_t():
     """A slice without a parameter value would put every crossing at NaN."""
     slices = _rotated_pair_slices(3)
-    bare = [SpectralSlice(sl.eigenvalues, sl.eigenvectors, "test") for sl in slices]
+    bare = [SpectralSlice(sl.eigenvalues, sl.eigenvectors) for sl in slices]
     with pytest.raises(TrackingError, match="finite"):
         track_branches(bare, window=0.5)
     slices[2].t = np.inf
@@ -391,9 +408,9 @@ def test_tracking_ambiguity_raises_without_refinement():
     e0 = np.array([[1.0], [0.0]], dtype=complex)
     e1 = np.array([[0.0], [1.0]], dtype=complex)
     slices = [
-        SpectralSlice(np.array([0.0]), e0, "test", t=0.5),
-        SpectralSlice(np.array([0.0]), e1, "test", t=2.5),
-        SpectralSlice(np.array([0.0]), e0, "test", t=4.5),
+        SpectralSlice(np.array([0.0]), e0, t=0.5),
+        SpectralSlice(np.array([0.0]), e1, t=2.5),
+        SpectralSlice(np.array([0.0]), e0, t=4.5),
     ]
     with pytest.raises(TrackingError, match="ambiguous"):
         track_branches(slices, window=0.5)
@@ -403,7 +420,7 @@ def test_tracking_refinement_resolves_fast_rotation():
     def make(t):
         th = 0.6 * t
         vec = np.array([[np.cos(th)], [np.sin(th)]], dtype=complex)
-        return SpectralSlice(np.array([0.1]), vec, "test", t=float(t))
+        return SpectralSlice(np.array([0.1]), vec, t=float(t))
 
     grid = [0.5, 2.5, 4.5]
     slices = [make(t) for t in grid]

@@ -80,9 +80,8 @@ class RunConfig:
         return asdict(self)
 
 
-def _load_named(name):
-    """Resolve a builtin catalog name or a model file path."""
-    catalog = symbol.builtin_models()
+def _load_named(name, catalog):
+    """Resolve a name of the command's builtin ``catalog`` or a model file path."""
     if name in catalog:
         entry = catalog[name]
         return entry.symbol, entry.grading
@@ -91,18 +90,18 @@ def _load_named(name):
     raise ModelError(f"{name!r} is neither a builtin model nor an existing file")
 
 
-def _load_factors(cfg):
-    h1, _ = _load_named(cfg.h1)
-    h2, grading = _load_named(cfg.h2)
+def _load_factors(cfg, catalog):
+    h1, _ = _load_named(cfg.h1, catalog)
+    h2, grading = _load_named(cfg.h2, catalog)
     if grading is None:
         raise ModelError(f"{cfg.h2!r} carries no chiral grading")
     return h1, h2, grading
 
 
-def _load_model(cfg):
+def _load_model(cfg, catalog):
     if (cfg.model is None) == (cfg.builtin is None):
         raise ModelError("exactly one of --model or --builtin is required")
-    sym, grading = _load_named(cfg.model or cfg.builtin)
+    sym, grading = _load_named(cfg.model or cfg.builtin, catalog)
     if cfg.seed is not None:
         sym = symbol.perturb_onsite(sym, PERTURB_NORM, cfg.seed)
     return sym, grading
@@ -243,7 +242,7 @@ def _svg_flow_plot(path, samples, threshold, window, title, no_timestamps):
 # subcommands
 
 def cmd_bulk_spectrum(cfg):
-    sym, _ = _load_model(cfg)
+    sym, _ = _load_model(cfg, symbol.builtin_models())
     axis = cfg.sweep_axis if cfg.sweep_axis is not None else sym.dim - 1
     if not 0 <= axis < sym.dim:
         raise ModelError(f"sweep axis {axis} out of range for dim {sym.dim}")
@@ -269,7 +268,7 @@ def cmd_bulk_spectrum(cfg):
 
 
 def cmd_edge_gap(cfg):
-    sym, _ = _load_model(cfg)
+    sym, _ = _load_model(cfg, symbol.builtin_models())
     pair = _slope_pair(cfg)
     threshold = cfg.gap_threshold if cfg.gap_threshold is not None else 0.1
     gap_a, gap_b = invariants.edge_gap_scan(
@@ -288,7 +287,7 @@ def cmd_edge_gap(cfg):
 
 
 def cmd_corner_flow(cfg):
-    sym, _ = _load_model(cfg)
+    sym, _ = _load_model(cfg, symbol.builtin_models())
     pair = _slope_pair(cfg)
     net, detail = invariants.corner_spectral_flow(
         sym, pair, cfg.L, n_t=cfg.t_grid, window=cfg.window,
@@ -314,7 +313,7 @@ def cmd_corner_flow(cfg):
 def cmd_verify_product(cfg):
     if cfg.h1 is None or cfg.h2 is None:
         raise ModelError("verify-product requires --h1 and --h2")
-    h1, h2, grading = _load_factors(cfg)
+    h1, h2, grading = _load_factors(cfg, symbol.builtin_models())
     pair = _slope_pair(cfg)
     i_2d = invariants.chern_number(h1)
     i_1d = invariants.winding_number(h2, grading)
@@ -339,9 +338,10 @@ def cmd_verify_product(cfg):
 
 
 def cmd_report(cfg):
-    sym, _ = _load_model(cfg)
+    catalog = symbol.builtin_models()
+    sym, _ = _load_model(cfg, catalog)
     pair = _slope_pair(cfg)
-    factors = _load_factors(cfg) if cfg.h1 is not None and cfg.h2 is not None else None
+    factors = _load_factors(cfg, catalog) if cfg.h1 is not None and cfg.h2 is not None else None
     report = invariants.compute_report(
         sym, pair, W=cfg.W, edge_grid=(cfg.k_grid, cfg.k_grid), L=cfg.L,
         n_t=cfg.t_grid, window=cfg.window, threshold=cfg.mask_threshold,

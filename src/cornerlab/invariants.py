@@ -485,8 +485,11 @@ def _tracked_crossings(build_slice, n_t, window, weight_fn, jump_bound):
 
     A loop of finite Hermitian matrices ends with as many eigenvalues below
     0 as it started with, so the directions must sum to 0; a lost or doubled
-    crossing raises TrackingError.
+    crossing raises TrackingError, as does a grid of fewer than 3 points,
+    before any slice is built.
     """
+    if n_t < 3:
+        raise TrackingError("need at least 3 grid points on the circle")
     slices = [build_slice(t) for t in _offset_grid(n_t)]
     track = spectra.track_branches(
         slices,
@@ -522,7 +525,8 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None,
         Truncation radius of the corner region (max norm).
     n_t : int
         Closed t-grid size, an integer of at least 1 (GeometryError
-        otherwise); samples sit at half-step offsets.
+        otherwise) and of at least 3 (TrackingError for 1 and 2); samples
+        sit at half-step offsets.
     window : float, optional
         Tracking half-width.  Default: 0.45 times the smaller edge gap.
     threshold : float
@@ -601,9 +605,10 @@ def edge_spectral_flow(sym, W=40, n_t=64):
     equals minus that invariant.
 
     ``W`` and ``n_t`` must be integers of at least 1 (GeometryError
-    otherwise), so the ``n_t`` samples close the circle; W must also exceed
-    the hopping range of either axis.  A Bloch gap closing on a 32 x 32
-    grid raises GapClosedError.
+    otherwise); ``n_t`` 1 and 2 raise TrackingError, since it takes 3
+    samples to close the circle.  W must also exceed the hopping range of
+    either axis.  A Bloch gap closing on a 32 x 32 grid raises
+    GapClosedError.
     """
     if sym.dim != 2:
         raise ModelError(f"edge flow needs a dim-2 symbol, got dim {sym.dim}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import EigensolverError, TrackingError
 
@@ -318,7 +318,8 @@ def _match(sl_a, sl_b, idx_a, idx_b):
     ova = sl_a.eigenvectors[:, idx_a]
     ovb = sl_b.eigenvectors[:, idx_b]
     overlap = np.abs(ova.conj().T @ ovb)
-    rows, cols = linear_sum_assignment(-overlap)
+    # LAPJVsp takes nonzero weights only: on 1 + overlap every pair is an edge.
+    rows, cols = min_weight_full_bipartite_matching(sparse.csr_array(1 + overlap), maximize=True)
     return [
         (int(idx_a[r]), int(idx_b[c]), float(overlap[r, c]))
         for r, c in zip(rows, cols)
@@ -372,8 +373,11 @@ def track_branches(slices, window, weight_fn=None, jump_bound=None, refine_fn=No
         linkings; after ``_MAX_REFINE`` bisections a TrackingError is
         raised.
 
-    Returns a :class:`BranchTrack`.  Overlap assignment is one-to-one, so
-    the links chain into disjoint branches; each sign change is one link.
+    Returns a :class:`BranchTrack`.  Each interval's states are linked by
+    the maximum-overlap assignment (Jonker-Volgenant LAPJVsp, from
+    ``scipy.sparse.csgraph``), rectangular when the two window counts
+    differ: it is one-to-one, so the links chain into disjoint branches,
+    and each sign change is one link.
     """
     n = len(slices)
     if n < 3:

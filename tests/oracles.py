@@ -11,12 +11,14 @@ purpose; nothing in the package imports this module.
 """
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 KERNEL_TOL = 1e-6
+ASSIGNMENT_MAX = 6
 
 
 def oracle_halfline_kernel(sym, grading, W, tol=KERNEL_TOL):
@@ -316,3 +318,26 @@ def oracle_edge_spectral_flow(sym, W, n_t):
     net = sum(c.direction for c in raw
               if c.weight is not None and c.weight >= invariants.DEFAULT_MASK_THRESHOLD)
     return net, raw
+
+
+def oracle_assignment(weights):
+    """Maximum-total-weight one-to-one assignment by exhaustive search.
+
+    Tries every injective map from the smaller side of the ``m`` x ``n``
+    matrix into the larger one, for at most ``ASSIGNMENT_MAX`` states per
+    side.  Returns ``(best, runner_up, pairs)``: the optimal total, the best
+    total of any other map (-inf if there is none), and the optimal pairs
+    ``(row, col)`` sorted by row.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if max(weights.shape) > ASSIGNMENT_MAX:
+        raise ValueError(f"exhaustive assignment is limited to {ASSIGNMENT_MAX} per side")
+    flip = weights.shape[0] > weights.shape[1]
+    small = weights.T if flip else weights
+    totals = sorted(
+        ((math.fsum(small[r, c] for r, c in enumerate(cols)), cols)
+         for cols in itertools.permutations(range(small.shape[1]), small.shape[0])),
+        key=lambda item: -item[0])
+    best, cols = totals[0]
+    pairs = sorted((c, r) if flip else (r, c) for r, c in enumerate(cols))
+    return best, totals[1][0] if len(totals) > 1 else -math.inf, pairs

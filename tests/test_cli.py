@@ -131,6 +131,32 @@ def test_non_finite_model_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "bulk_spectrum.csv").exists()
 
 
+def test_report_resolves_every_name_in_one_catalog(tmp_path, capsys, monkeypatch):
+    """``report --model FILE --h1 NAME --h2 NAME`` builds the builtin catalog
+    once for its three names, not once per name."""
+    from cornerlab import GapClosedError, invariants, symbol
+
+    calls = []
+    catalog = symbol.builtin_models
+
+    def counted():
+        calls.append(1)
+        return catalog()
+
+    def stop(sym, pair, *, factors, **kwargs):
+        assert [f.dim for f in factors[:2]] == [2, 1] and factors[2] is not None
+        raise GapClosedError("stop after loading")
+
+    path = tmp_path / "m.json"
+    save_model(catalog()["product_example"].symbol, path)
+    monkeypatch.setattr(symbol, "builtin_models", counted)
+    monkeypatch.setattr(invariants, "compute_report", stop)
+    assert run("report", "--model", str(path), "--h1", "h1_example", "--h2", "h2_example",
+               "--out", str(tmp_path)) == 4
+    assert "stop after loading" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_model_flag_xor(tmp_path, capsys):
     assert run("edge-gap") == 2
     capsys.readouterr()

@@ -500,3 +500,19 @@ def test_lost_crossing_breaks_zero_total_flow(monkeypatch, models):
         invariants.corner_spectral_flow(models["product_example"].symbol, PAIR, 8, n_t=8)
     with pytest.raises(TrackingError, match="sum to"):
         invariants.edge_spectral_flow(models["h1_example"].symbol, W=12, n_t=12)
+
+
+@pytest.mark.parametrize("n_t", [1, 2])
+def test_flows_refuse_short_grids_before_any_slice(monkeypatch, models, n_t):
+    """A t-grid of 1 or 2 points cannot close the circle: both flows raise
+    TrackingError before a single slice is window-solved."""
+    def no_slice(*args, **kwargs):
+        raise AssertionError("a slice was built")
+
+    monkeypatch.setattr(spectra, "diagonalize_window", no_slice)
+    with pytest.raises(TrackingError, match="at least 3 grid points"):
+        invariants.corner_spectral_flow(models["product_example"].symbol, PAIR, 8, n_t=n_t)
+    with pytest.raises(TrackingError, match="at least 3 grid points"):
+        invariants.edge_spectral_flow(models["h1_example"].symbol, W=12, n_t=n_t)
+    with pytest.raises(GeometryError):
+        invariants.corner_spectral_flow(models["product_example"].symbol, PAIR, 8, n_t=0)

@@ -16,7 +16,7 @@ from cornerlab.spectra import (
     track_branches,
 )
 
-from oracles import oracle_flow_smalls
+from oracles import oracle_assignment, oracle_flow_smalls
 
 
 def _random_hermitian_op(n, seed):
@@ -429,3 +429,60 @@ def test_tracking_refinement_resolves_fast_rotation():
     track = track_branches(slices, window=0.5, refine_fn=make)
     assert len(crossings(track)) == 0
     assert sum(len(pairs) for pairs in track.links) == 3
+
+
+def _orthonormal(rng, d, k):
+    raw = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    return np.linalg.qr(raw)[0]
+
+
+def _assignment_case(rng, m, n, near_permutation):
+    """Eigenvectors of two slices with ``m`` and ``n`` windowed states.
+
+    Generic: two independent orthonormal sets.  Near-permutation, as in
+    tracking: the second set is the first (extended to ``max(m, n)``
+    states) turned by a small unitary, rephased, reordered and cut to ``n``.
+    """
+    d = 12
+    if not near_permutation:
+        return _orthonormal(rng, d, m), _orthonormal(rng, d, n)
+    base = _orthonormal(rng, d, max(m, n))
+    eps = rng.uniform(0.002, 0.04)
+    kick = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    turn = np.linalg.qr(np.eye(d) + eps * kick)[0]
+    phases = np.exp(2j * np.pi * rng.random(max(m, n)))
+    moved = (turn @ base * phases)[:, rng.permutation(max(m, n))]
+    return base[:, :m], moved[:, :n]
+
+
+def test_match_reaches_the_exhaustive_optimum():
+    """``_match`` on 504 overlap matrices of orthonormal sets, 1 to 6 states
+    a side, square and rectangular, generic and near-permutation: its total
+    overlap is the exhaustive optimum, and its pairs are the optimal ones
+    wherever that optimum beats every other map by more than 1e-12.  An
+    exact tie may be broken either way (see the all-equal case below)."""
+    rng = np.random.default_rng(2024)
+    unique = 0
+    for near_permutation in (False, True):
+        for m in range(1, 7):
+            for n in range(1, 7):
+                for _ in range(7):
+                    va, vb = _assignment_case(rng, m, n, near_permutation)
+                    sl_a = SpectralSlice(np.arange(m, dtype=float), va)
+                    sl_b = SpectralSlice(np.arange(n, dtype=float), vb)
+                    got = spectra._match(sl_a, sl_b, np.arange(m), np.arange(n))
+                    best, runner_up, pairs = oracle_assignment(np.abs(va.conj().T @ vb))
+                    assert len(got) == min(m, n)
+                    assert sum(ov for _, _, ov in got) >= best - 1e-12
+                    if best - runner_up > 1e-12:
+                        unique += 1
+                        assert [(ia, ib) for ia, ib, _ in got] == pairs
+    assert unique > 450
+
+    # All four overlaps equal 1/sqrt(2): both maps are optimal.  LAPJVsp
+    # pairs 0-1 and 1-0 here, scipy.optimize.linear_sum_assignment 0-0 and 1-1.
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    got = spectra._match(SpectralSlice([0.0, 1.0], np.eye(2, dtype=complex)),
+                         SpectralSlice([0.0, 1.0], hadamard), np.arange(2), np.arange(2))
+    assert sorted(ia for ia, _, _ in got) == sorted(ib for _, ib, _ in got) == [0, 1]
+    assert sum(ov for _, _, ov in got) == pytest.approx(np.sqrt(2), abs=1e-12)

@@ -21,7 +21,8 @@ OVERLAP_MIN = 0.5
 DEGENERACY_CLUSTER_TOL = 1e-4
 _MAX_REFINE = 3
 _BLOCK_SEED = 11
-_BLOCK_MAX_SWEEPS = 200
+_BLOCK_MAX_SOLVES = 200
+_PANEL_SIZE = 1
 
 
 @dataclass
@@ -70,16 +71,21 @@ def diagonalize(op):
 
 
 class FactorPattern:
-    """A square CSC pattern (``indptr``, ``indices``, diagonal stored) and the
-    one fill-reducing order of every matrix factored on it: the first
+    """A square CSC pattern (``indptr``, ``indices`` sorted, diagonal stored)
+    and the one fill-reducing order of every matrix factored on it: the first
     factorization orders by MMD on A + A^T and keeps its column permutation
     ``rank``; every later one factors ``A[order][:, order]``, ``order`` the
-    inverse of ``rank``, in NATURAL order (values ``values[take]`` on ``layout``).
+    inverse of ``rank``, in NATURAL order.  ``shell`` is the one CSC matrix
+    on the current layout; each factorization writes ``values[take]`` into its
+    ``data`` and subtracts the shift at ``diag``.
     """
 
     def __init__(self, indptr, indices):
         self.indptr, self.indices = indptr.astype(np.int32), indices.astype(np.int32)
-        self._lay_out(np.arange(indptr.size - 1))
+        n = self.indptr.size - 1
+        cols = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr))
+        self.take = np.arange(self.indices.size)
+        self._shell(self.indptr, self.indices, np.flatnonzero(self.indices == cols))
         self.order = self.rank = None
 
     @classmethod
@@ -87,7 +93,13 @@ class FactorPattern:
         """The pattern of ``matrix`` with its diagonal stored, and its values on it."""
         csc = sparse.csc_matrix(matrix, dtype=complex, copy=True)
         csc.setdiag(csc.diagonal())
+        csc.sort_indices()
         return cls(csc.indptr, csc.indices), csc.data
+
+    def _shell(self, indptr, indices, diag):
+        self.shell = sparse.csc_matrix((np.zeros(indices.size, dtype=complex), indices, indptr),
+                                       (indptr.size - 1,) * 2)
+        self.diag = diag
 
     def _lay_out(self, rank):
         # A copy: SuperLU's perm_c is a view that would keep its whole factor alive.
@@ -95,31 +107,34 @@ class FactorPattern:
         keys = np.repeat(rank, np.diff(self.indptr)) * n + rank[self.indices]
         self.take = np.argsort(keys)
         keys = keys[self.take]
-        self.layout = (np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32),
-                       (keys % n).astype(np.int32), np.flatnonzero(keys // n == keys % n))
+        self._shell(np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32),
+                    (keys % n).astype(np.int32), np.flatnonzero(keys // n == keys % n))
         self.order, self.rank = np.argsort(rank), rank
 
 
 def _factor(pattern, values, *shifts):
     """Symmetric-mode SuperLU of ``A - shift`` at the first of ``shifts`` that
     factors, A the Hermitian matrix with ``values`` on ``pattern``: diagonal
-    pivots unless one is 0.  The first factorization on a pattern fixes its
-    order; every later one is of the pre-ordered matrix, shifted in place."""
-    fresh, (indptr, indices, diag) = pattern.order is None, pattern.layout
+    pivots unless one is 0.  Returns the factorization and its shift.  The
+    first factorization on a pattern fixes its order; every later one is of
+    the pre-ordered matrix, written into the pattern's shell and shifted in
+    place.  A factorization keeps no reference to the matrix it was taken of,
+    so a later shift leaves an earlier one intact."""
+    fresh, shell = pattern.order is None, pattern.shell
     failures = []
     for shift in shifts:
-        shifted = np.asarray(values, dtype=complex)[pattern.take]
-        shifted[diag] -= shift
+        shell.data[:] = np.asarray(values)[pattern.take]
+        shell.data[pattern.diag] -= shift
         try:
-            lu = spla.splu(sparse.csc_matrix((shifted, indices, indptr), (indptr.size - 1,) * 2),
-                           permc_spec="MMD_AT_PLUS_A" if fresh else "NATURAL",
-                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            lu = spla.splu(shell, permc_spec="MMD_AT_PLUS_A" if fresh else "NATURAL",
+                           diag_pivot_thresh=0.0, panel_size=_PANEL_SIZE,
+                           options={"SymmetricMode": True})
         except RuntimeError as exc:
             failures.append(f"{shift:.6g} ({exc})")
             continue
         if fresh:
             pattern._lay_out(lu.perm_c)
-        return lu
+        return lu, shift
     raise EigensolverError(f"sparse factorization failed at {', '.join(failures)}")
 
 
@@ -130,7 +145,7 @@ def _count_below(pattern, values, shift):
     U), so by Sylvester's law of inertia the negative entries of D count the
     eigenvalues below the shift; an off-diagonal pivot is refused, not counted.
     """
-    lu = _factor(pattern, values, shift)
+    lu, _ = _factor(pattern, values, shift)
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise EigensolverError(
             f"inertia factorization at {shift:.6g} pivoted off the diagonal; no count")
@@ -146,12 +161,17 @@ def diagonalize_window(op, window, k=None):
     after these 2.  Otherwise counts at -+ 2 * edge give the ``annulus`` of
     eigenvalues with edge < |lambda| < 2 * edge, and a seeded random block
     of ``count + min(annulus, 8)`` vectors (``count + 8`` if a sizing count
-    fails) is driven by A^{-1}, solved with the same symmetric L D L^H
-    factorization taken at 0 (or 1.3e-6, 4.1e-6 if A is singular): 5
-    factorizations.  While the annulus holds at most 8, every eigenvalue
-    outside the block has |lambda| >= 2 * edge, so a sweep shrinks its share
-    by at least 1/2.  A Rayleigh-Ritz step on A follows every sweep, until
-    exactly ``count`` Ritz pairs inside the interval meet the residual
+    fails) is driven by M = (A - s)^{-1}, solved with the same symmetric
+    L D L^H factorization taken at s = 0 (or 1.3e-6, 4.1e-6 if A is
+    singular): 5 factorizations.  While the annulus holds at most 8, every
+    eigenvalue outside the block has |lambda| >= 2 * edge, so each of its
+    eigenvalues of M lies in [-c, c], c = 1 / (2 * edge - |s|), and a sweep
+    applies the Chebyshev filter T_2(M / c) = 2 (M / c)^2 - 1 with two
+    solves: it keeps their share bounded by 1 and scales every windowed one
+    by at least T_2(2) = 7 at s = 0, where two plain solves give 4.  A failed
+    sizing count or a crowded annulus leaves that interval uncertified, and a
+    sweep is one plain solve.  A Rayleigh-Ritz step on A follows every sweep,
+    until exactly ``count`` Ritz pairs inside the interval meet the residual
     contract.  The random block has full projection onto every eigenspace,
     so exact degeneracies come out whole and orthonormal.
 
@@ -160,8 +180,8 @@ def diagonalize_window(op, window, k=None):
 
     Refusals: a window that is not a positive finite number raises
     ValueError; a factorization that fails or pivots off the diagonal, or
-    a block that has not converged to ``count`` pairs after
-    ``_BLOCK_MAX_SWEEPS`` sweeps, raises EigensolverError.
+    a block that has not converged to ``count`` pairs within
+    ``_BLOCK_MAX_SOLVES`` solves, raises EigensolverError.
 
     ``k`` is ignored; the block size follows from the counts.
     """
@@ -179,15 +199,22 @@ def diagonalize_window(op, window, k=None):
         annulus = (_count_below(pattern, values, 2 * edge)
                    - _count_below(pattern, values, -2 * edge) - count)
     except EigensolverError:
-        annulus = 8
-    size = min(count + min(annulus, 8), n)
+        annulus = None
+    certified = annulus is not None and annulus <= 8
+    size = min(count + (annulus if certified else 8), n)
     norm_a = float(np.abs(matrix).sum(axis=1).max())
-    lu = _factor(pattern, values, 0.0, 1.3e-6, 4.1e-6)
+    lu, shift = _factor(pattern, values, 0.0, 1.3e-6, 4.1e-6)
+    degree = 2 if certified else 1
+    scale = 2 * (2 * edge - abs(shift)) ** 2  # 2 / c^2: Y = scale M^2 X - X
     rng = np.random.default_rng(_BLOCK_SEED)
     block = rng.standard_normal((n, size)) + 1j * rng.standard_normal((n, size))
     tol = RESIDUAL_REL_TOL * norm_a
-    for _ in range(_BLOCK_MAX_SWEEPS):
-        block, _ = np.linalg.qr(lu.solve(block[pattern.order])[pattern.rank])
+    for _ in range(_BLOCK_MAX_SOLVES // degree):
+        rhs = block[pattern.order]
+        solved = lu.solve(rhs)
+        if degree == 2:
+            solved = scale * lu.solve(solved) - rhs
+        block, _ = np.linalg.qr(solved[pattern.rank])
         ab = matrix @ block
         small = block.conj().T @ ab
         theta, rot = np.linalg.eigh(0.5 * (small + small.conj().T))
@@ -200,7 +227,7 @@ def diagonalize_window(op, window, k=None):
             return SpectralSlice(vals, vecs, op.t, op.region)
     raise EigensolverError(
         f"window eigensolver did not converge to the {count} eigenpairs in "
-        f"|lambda| <= {edge:.3g} after {_BLOCK_MAX_SWEEPS} sweeps")
+        f"|lambda| <= {edge:.3g} after {_BLOCK_MAX_SOLVES} solves")
 
 
 def mask_vector(region, mask):
@@ -318,8 +345,12 @@ def _match(sl_a, sl_b, idx_a, idx_b):
     ova = sl_a.eigenvectors[:, idx_a]
     ovb = sl_b.eigenvectors[:, idx_b]
     overlap = np.abs(ova.conj().T @ ovb)
-    # LAPJVsp takes nonzero weights only: on 1 + overlap every pair is an edge.
-    rows, cols = min_weight_full_bipartite_matching(sparse.csr_array(1 + overlap), maximize=True)
+    # LAPJVsp takes nonzero weights only: on -(1 + overlap) every pair is an
+    # edge, and the minimum is the maximum-overlap assignment.
+    na, nb = overlap.shape
+    cost = sparse.csr_array((-(1 + overlap).ravel(), np.tile(np.arange(nb), na),
+                             np.arange(0, na * nb + 1, nb)), shape=overlap.shape)
+    rows, cols = min_weight_full_bipartite_matching(cost)
     return [
         (int(idx_a[r]), int(idx_b[c]), float(overlap[r, c]))
         for r, c in zip(rows, cols)

@@ -51,8 +51,8 @@ def test_criterion_1_example_integers(models, product_flow, timings):
     net, _ = product_flow
     assert net == 1, f"corner spectral flow {net} != +1"
     flow_s = timings["corner_flow_product"]
-    # Measured 1.1-1.2 s on a 2-core VM with one BLAS thread; about 2x margin.
-    assert flow_s < 2.5, f"corner flow took {flow_s:.1f}s, budget 2.5s"
+    # Measured 0.5-0.8 s on a 2-core VM with one BLAS thread; about 2x margin.
+    assert flow_s < 1.6, f"corner flow took {flow_s:.1f}s, budget 1.6s"
 
     pair = cl.bulk_edge_pair(h1, h2, g)
     assert pair == (2, 1), f"bulk-edge pair {pair} != (2, 1)"
@@ -79,8 +79,8 @@ def test_criterion_3_product_formula(models, combo_flows, timings):
         assert net == i1 * i2 == want, (
             f"{n1} x {n2}: flow {net}, factors {i1}*{i2}, expected {want}")
     total_s = timings["corner_flow_combos"]
-    # Measured 3.8-4.2 s on a 2-core VM with one BLAS thread; about 2x margin.
-    assert total_s < 9.0, f"combo flows took {total_s:.1f}s, budget 9s"
+    # Measured 2.3-3.1 s on a 2-core VM with one BLAS thread; about 2x margin.
+    assert total_s < 6.5, f"combo flows took {total_s:.1f}s, budget 6.5s"
     print(f"criterion 3 (product formula 1/0/2/0): PASS [{total_s:.1f}s]")
 
 
@@ -99,8 +99,8 @@ def test_criterion_5_perturbation_stability(perturbed_runs, timings):
         assert min(gap_a, gap_b) >= 0.8, (
             f"seed {seed}: perturbed edge gaps ({gap_a:.4f}, {gap_b:.4f}) < 0.8")
     runs_s = timings["perturbed_runs"]
-    # Measured 16-21 s on a 2-core VM with one BLAS thread; about 2x margin.
-    assert runs_s < 40.0, f"perturbed runs took {runs_s:.1f}s, budget 40s"
+    # Measured 11-16 s on a 2-core VM with one BLAS thread; about 2x margin.
+    assert runs_s < 32.0, f"perturbed runs took {runs_s:.1f}s, budget 32s"
     print(f"criterion 5 (5 seeds, norm 0.1): PASS [{runs_s:.1f}s]")
 
 

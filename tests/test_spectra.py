@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from cornerlab import EigensolverError, TrackingError, assembly, geometry, spectra, symbol
 from cornerlab.spectra import (
@@ -169,10 +170,15 @@ def test_window_solver_certificate_cost(monkeypatch):
     """Factorizations per slice: 2 counts for an empty window; for an occupied
     one 2 counts, 2 sizing counts at -+2.1w and 1 solve factor at 0, whose
     first solve gets ``count + min(annulus, 8)`` columns.  A failing sizing
-    count falls back to ``count + 8`` and still returns the dense pairs."""
+    count falls back to ``count + 8`` and still returns the dense pairs.
+
+    Solves per sweep (between two QR steps): 2, the Chebyshev filter, when
+    the annulus is certified to hold at most 8 (``few``, and ``on_sizing``
+    with unwanted eigenvalues right on the filter's interval edge +-2.1w);
+    1 when it holds more (``crowded``) or a sizing count fails."""
     w, edge = 0.45, 1.05 * 0.45
-    counted, factored, widths, fail_at = [], [], [], []
-    count_below, factor = spectra._count_below, spectra._factor
+    counted, factored, widths, fail_at, solves = [], [], [], [], []
+    count_below, factor, qr = spectra._count_below, spectra._factor, np.linalg.qr
 
     def counting(pattern, values, shift):
         counted.append(shift)
@@ -182,7 +188,12 @@ def test_window_solver_certificate_cost(monkeypatch):
 
     def factoring(pattern, values, *shifts):
         factored.append(shifts[0])
-        return _CountedSolves(factor(pattern, values, *shifts), widths)
+        lu, shift = factor(pattern, values, *shifts)
+        return _CountedSolves(lu, widths), shift
+
+    def sweep_end(a, *args, **kwargs):
+        solves.append(len(widths))
+        return qr(a, *args, **kwargs)
 
     monkeypatch.setattr(spectra, "_count_below", counting)
     monkeypatch.setattr(spectra, "_factor", factoring)
@@ -193,22 +204,45 @@ def test_window_solver_certificate_cost(monkeypatch):
 
     few = [0.1, -0.1, 0.2, -0.2, 0.6, -0.7] + [2.5, -2.5] * 6
     crowded = [0.1, -0.1] + list(np.linspace(0.5, 0.9, 10)) + [2.5, -2.5] * 6
-    for spectrum, fail in [(few, []), (crowded, []), (few, [2 * edge])]:
-        for log in (counted, factored, widths):
+    on_sizing = few + [s * 2 * edge * (1 + d) for s in (1, -1) for d in (1e-9, -1e-9)]
+    for spectrum, fail, per_sweep in [(few, [], 2), (on_sizing, [], 2), (crowded, [], 1),
+                                      (few, [2 * edge], 1)]:
+        op = _block_diagonal_op(spectrum, seed=1)
+        for log in (counted, factored, widths, solves):
             log.clear()
         fail_at[:] = fail
-        op = _block_diagonal_op(spectrum, seed=1)
+        monkeypatch.setattr(np.linalg, "qr", sweep_end)
         sl = diagonalize_window(op, w)
+        monkeypatch.setattr(np.linalg, "qr", qr)
         dense = np.linalg.eigvalsh(op.dense())
         count = np.count_nonzero(np.abs(dense) <= edge)
         annulus = np.count_nonzero(np.abs(dense) < 2 * edge) - count
+        assert (annulus > 8) == (spectrum is crowded)
         sizing = [] if fail else [2 * edge, -2 * edge]
         assert counted == [edge, -edge, 2 * edge] + sizing[1:]
         assert factored == [edge, -edge] + sizing + [0.0]
         assert widths[0] == count + (8 if fail else min(annulus, 8))
+        assert solves == list(range(per_sweep, len(widths) + 1, per_sweep))
         assert np.allclose(sl.eigenvalues, dense[np.abs(dense) <= edge], atol=1e-12)
         gram = sl.eigenvectors.conj().T @ sl.eigenvectors
         assert np.max(np.abs(gram - np.eye(count))) < 1e-10
+
+
+def test_factor_shell_reuse_keeps_earlier_factors():
+    """Every factorization on a pattern writes into one CSC shell; an LU taken
+    before a later shift overwrote the shell still solves its own matrix."""
+    op = _real_sparse_op()
+    pattern, values = spectra.FactorPattern.of(op.matrix)
+    dense = op.dense()
+    rhs = np.random.default_rng(7).standard_normal((dense.shape[0], 3)) + 0j
+    factors = [spectra._factor(pattern, values, shift) for shift in (0.3, -1.1, 2.4)]
+    assert [shift for _, shift in factors] == [0.3, -1.1, 2.4]
+    # The first factorization orders the pattern and solves in the original
+    # order; later ones factor the pre-ordered matrix.
+    solutions = [factors[0][0].solve(rhs)]
+    solutions += [lu.solve(rhs[pattern.order])[pattern.rank] for lu, _ in factors[1:]]
+    for (_, shift), got in zip(factors, solutions):
+        assert np.allclose((dense - shift * np.eye(dense.shape[0])) @ got, rhs, atol=1e-9)
 
 
 def _zero_eigenvalue_op():
@@ -237,7 +271,7 @@ def test_window_solver_shift_zero_factor(make_op, singular):
         with pytest.raises(EigensolverError, match="singular"):
             spectra._factor(pattern, values, 0.0)
     else:
-        lu = spectra._factor(pattern, values, 0.0)
+        lu, _ = spectra._factor(pattern, values, 0.0)
         assert not np.array_equal(lu.perm_r, lu.perm_c)
 
     sl = diagonalize_window(op, 0.45)
@@ -486,3 +520,30 @@ def test_match_reaches_the_exhaustive_optimum():
                          SpectralSlice([0.0, 1.0], hadamard), np.arange(2), np.arange(2))
     assert sorted(ia for ia, _, _ in got) == sorted(ib for _, ib, _ in got) == [0, 1]
     assert sum(ov for _, _, ov in got) == pytest.approx(np.sqrt(2), abs=1e-12)
+
+
+def test_match_links_equal_the_maximizing_solver():
+    """``_match`` hands LAPJVsp the CSR of -(1 + overlap) built from its shape.
+    scipy's ``maximize=True`` negates 1 + overlap exactly, so on random
+    rectangular overlaps both give the same rows and columns, bit for bit."""
+    rng = np.random.default_rng(16)
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for near_permutation in (False, True):
+                va, vb = _assignment_case(rng, m, n, near_permutation)
+                got = spectra._match(SpectralSlice(np.arange(m, dtype=float), va),
+                                     SpectralSlice(np.arange(n, dtype=float), vb),
+                                     np.arange(m), np.arange(n))
+                # The same products as _match forms from its index arrays.
+                overlap = np.abs(va[:, np.arange(m)].conj().T @ vb[:, np.arange(n)])
+                rows, cols = min_weight_full_bipartite_matching(
+                    sp.csr_array(1 + overlap), maximize=True)
+                assert [(ia, ib) for ia, ib, _ in got] == list(zip(rows, cols))
+                assert [ov for _, _, ov in got] == [overlap[r, c] for r, c in zip(rows, cols)]
+    # An exact tie (every overlap 1/sqrt(2)) is broken the same way too.
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    got = spectra._match(SpectralSlice([0.0, 1.0], np.eye(2, dtype=complex)),
+                         SpectralSlice([0.0, 1.0], hadamard), np.arange(2), np.arange(2))
+    rows, cols = min_weight_full_bipartite_matching(
+        sp.csr_array(1 + np.abs(hadamard)), maximize=True)
+    assert [(ia, ib) for ia, ib, _ in got] == list(zip(rows, cols))

@@ -270,7 +270,7 @@ def cmd_bulk_spectrum(cfg):
 def cmd_edge_gap(cfg):
     sym, _ = _load_model(cfg, symbol.builtin_models())
     pair = _slope_pair(cfg)
-    threshold = cfg.gap_threshold if cfg.gap_threshold is not None else 0.1
+    threshold = cfg.gap_threshold if cfg.gap_threshold is not None else invariants._EDGE_GAP_FLOOR
     gap_a, gap_b = invariants.edge_gap_scan(
         sym, pair, cfg.W, (cfg.k_grid, cfg.k_grid))
     ok = min(gap_a, gap_b) >= threshold
@@ -311,8 +311,6 @@ def cmd_corner_flow(cfg):
 
 
 def cmd_verify_product(cfg):
-    if cfg.h1 is None or cfg.h2 is None:
-        raise ModelError("verify-product requires --h1 and --h2")
     h1, h2, grading = _load_factors(cfg, symbol.builtin_models())
     pair = _slope_pair(cfg)
     i_2d = invariants.chern_number(h1)
@@ -371,7 +369,8 @@ def _add_common(sp, with_model=True):
                          "flow's Fredholm scan is fixed at %dx%d)" % invariants._FLOW_EDGE_GRID)
     sp.add_argument("--window", type=float, default=None,
                     help="tracking half-width (default: scaled to the edge gap)")
-    sp.add_argument("--mask-threshold", type=float, default=0.6, dest="mask_threshold",
+    sp.add_argument("--mask-threshold", type=float, dest="mask_threshold",
+                    default=invariants.DEFAULT_MASK_THRESHOLD,
                     help="corner-localization weight for a crossing to count")
     sp.add_argument("--out", default=".", help="output directory")
     sp.add_argument("--seed", type=int, default=None,
@@ -397,7 +396,8 @@ def _build_parser():
     sp = sub.add_parser("edge-gap", help="minimum gap of both edge compressions")
     _add_common(sp)
     sp.add_argument("--gap-threshold", type=float, default=None, dest="gap_threshold",
-                    help="PASS iff both minima reach this value (default 0.1)")
+                    help="PASS iff both minima reach this value "
+                         f"(default {invariants._EDGE_GAP_FLOOR})")
     sp.set_defaults(func=cmd_edge_gap)
 
     sp = sub.add_parser("corner-flow", help="spectral flow of the corner family")

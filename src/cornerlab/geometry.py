@@ -26,26 +26,32 @@ BETA = "beta"
 
 @dataclass(frozen=True)
 class Slope:
-    """Rational slope p/q in lowest terms (q >= 1), or one of +-inf."""
+    """Rational slope p/q in lowest terms (q >= 1), or +-inf as (+-1, 0)."""
 
     p: int
     q: int
-    kind: str = "rational"
+
+    def __post_init__(self):
+        p, q = self.p, self.q
+        if not (isinstance(p, (int, np.integer)) and isinstance(q, (int, np.integer))
+                and (q >= 1 and math.gcd(p, q) == 1 or q == 0 and abs(p) == 1)):
+            raise GeometryError(
+                f"slope ({p}, {q}) is neither p/q in lowest terms with q >= 1 nor (+-1, 0)")
 
     @staticmethod
     def rational(p, q):
         if q == 0:
             raise GeometryError("slope denominator must be nonzero; use inf slopes instead")
         frac = Fraction(p, q)
-        return Slope(frac.numerator, frac.denominator, "rational")
+        return Slope(frac.numerator, frac.denominator)
 
     @staticmethod
     def plus_inf():
-        return Slope(1, 0, "+inf")
+        return Slope(1, 0)
 
     @staticmethod
     def minus_inf():
-        return Slope(-1, 0, "-inf")
+        return Slope(-1, 0)
 
     @staticmethod
     def parse(text):
@@ -59,24 +65,22 @@ class Slope:
             frac = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise GeometryError(f"cannot parse slope {text!r}") from exc
-        return Slope(frac.numerator, frac.denominator, "rational")
+        return Slope(frac.numerator, frac.denominator)
 
     @property
     def infinite(self):
-        return self.kind != "rational"
+        return self.q == 0
 
     @property
     def value(self):
         """Extended-real value used for ordering slopes."""
-        if self.kind == "+inf":
-            return math.inf
-        if self.kind == "-inf":
-            return -math.inf
+        if self.infinite:
+            return self.p * math.inf
         return Fraction(self.p, self.q)
 
     def __str__(self):
         if self.infinite:
-            return "inf" if self.kind == "+inf" else "-inf"
+            return "inf" if self.p > 0 else "-inf"
         return str(Fraction(self.p, self.q))
 
 
@@ -102,9 +106,9 @@ class SlopePair:
 def _check_side(slope, which):
     if which not in (ALPHA, BETA):
         raise GeometryError(f"which must be 'alpha' or 'beta', got {which!r}")
-    if slope.kind == "+inf" and which == ALPHA:
+    if slope.infinite and slope.p > 0 and which == ALPHA:
         raise GeometryError("+inf is only valid as a beta slope")
-    if slope.kind == "-inf" and which == BETA:
+    if slope.infinite and slope.p < 0 and which == BETA:
         raise GeometryError("-inf is only valid as an alpha slope")
 
 
@@ -126,10 +130,8 @@ def strip_depth(slope, which, site):
     _check_side(slope, which)
     sites = np.asarray(site, dtype=np.int64)
     m, n = sites[..., 0], sites[..., 1]
-    if slope.kind == "+inf":
-        depth = m
-    elif slope.kind == "-inf":
-        depth = -m
+    if slope.infinite:
+        depth = m if slope.p > 0 else -m
     elif which == ALPHA:
         depth = n + (-slope.p * m) // slope.q
     else:

@@ -163,17 +163,18 @@ def diagonalize_window(op, window, k=None):
     of ``count + min(annulus, 8)`` vectors (``count + 8`` if a sizing count
     fails) is driven by M = (A - s)^{-1}, solved with the same symmetric
     L D L^H factorization taken at s = 0 (or 1.3e-6, 4.1e-6 if A is
-    singular): 5 factorizations.  While the annulus holds at most 8, every
-    eigenvalue outside the block has |lambda| >= 2 * edge, so each of its
-    eigenvalues of M lies in [-c, c], c = 1 / (2 * edge - |s|), and a sweep
-    applies the Chebyshev filter T_2(M / c) = 2 (M / c)^2 - 1 with two
-    solves: it keeps their share bounded by 1 and scales every windowed one
-    by at least T_2(2) = 7 at s = 0, where two plain solves give 4.  A failed
-    sizing count or a crowded annulus leaves that interval uncertified, and a
-    sweep is one plain solve.  A Rayleigh-Ritz step on A follows every sweep,
-    until exactly ``count`` Ritz pairs inside the interval meet the residual
-    contract.  The random block has full projection onto every eigenspace,
-    so exact degeneracies come out whole and orthonormal.
+    singular): 5 factorizations.  Every sweep applies the Chebyshev filter
+    T_2(M / c) = 2 (M / c)^2 - 1, c = 1 / (2 * edge - |s|), with two solves
+    (Rutishauser, Numer. Math. 16, 1970): |T_2| <= 1 for |lambda| >= 2 * edge,
+    and T_2 >= 7 on the window at s = 0, where two plain solves give 4.  An
+    annulus eigenvalue that a crowded block leaves out sits at 1 < a < b in
+    units of c, b the smallest windowed |M / c|, and T_2(a) / T_2(b) <=
+    (a / b)^2 contracts it at least as much as two plain solves; only a block
+    sized blind, after a failed sizing count, that leaves out nothing nearer
+    than |M / c| = 0.52 converges slower.  A Rayleigh-Ritz step on A follows
+    every sweep, until exactly ``count`` Ritz pairs inside the interval meet
+    the residual contract.  The random block has full projection onto every
+    eigenspace, so exact degeneracies come out whole and orthonormal.
 
     All factorizations run on the ``pattern`` that the operator's family shares
     (or on one of its own), so a family is MMD-ordered once, by its first count.
@@ -195,25 +196,21 @@ def diagonalize_window(op, window, k=None):
     count = _count_below(pattern, values, edge) - _count_below(pattern, values, -edge)
     if count == 0:
         return SpectralSlice(np.empty(0), np.empty((n, 0), dtype=complex), op.t, op.region)
-    try:  # a failed sizing count costs sweeps, never the result
-        annulus = (_count_below(pattern, values, 2 * edge)
-                   - _count_below(pattern, values, -2 * edge) - count)
+    try:  # a failed sizing count costs solves, never the result
+        extra = min(_count_below(pattern, values, 2 * edge)
+                    - _count_below(pattern, values, -2 * edge) - count, 8)
     except EigensolverError:
-        annulus = None
-    certified = annulus is not None and annulus <= 8
-    size = min(count + (annulus if certified else 8), n)
+        extra = 8
+    size = min(count + extra, n)
     norm_a = float(np.abs(matrix).sum(axis=1).max())
     lu, shift = _factor(pattern, values, 0.0, 1.3e-6, 4.1e-6)
-    degree = 2 if certified else 1
     scale = 2 * (2 * edge - abs(shift)) ** 2  # 2 / c^2: Y = scale M^2 X - X
     rng = np.random.default_rng(_BLOCK_SEED)
     block = rng.standard_normal((n, size)) + 1j * rng.standard_normal((n, size))
     tol = RESIDUAL_REL_TOL * norm_a
-    for _ in range(_BLOCK_MAX_SOLVES // degree):
+    for _ in range(_BLOCK_MAX_SOLVES // 2):
         rhs = block[pattern.order]
-        solved = lu.solve(rhs)
-        if degree == 2:
-            solved = scale * lu.solve(solved) - rhs
+        solved = scale * lu.solve(lu.solve(rhs)) - rhs
         block, _ = np.linalg.qr(solved[pattern.rank])
         ab = matrix @ block
         small = block.conj().T @ ab

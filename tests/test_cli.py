@@ -241,6 +241,20 @@ def test_report_skips_corner_for_gapless_edge(tmp_path):
     assert "not Fredholm" in doc["provenance"]["corner_skipped"]
 
 
+def test_report_aborts_on_a_refusal_inside_the_corner_flow(tmp_path, capsys):
+    """Only the report's own edge scan is recorded as ``corner_skipped``; a
+    GapClosedError raised by the corner flow itself (here a window wider than
+    half the measured edge gaps) ends the report with exit 4 and no file."""
+    code = run("report", "--builtin", "product_example", "--L", "8", "--W", "8",
+               "--t-grid", "8", "--k-grid", "2", "--window", "0.6",
+               "--out", str(tmp_path))
+    assert code == 4
+    err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert err["error"]["type"] == "GapClosedError"
+    assert "twice the tracking window" in err["error"]["message"]
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_model_file_roundtrip_through_cli(tmp_path, capsys):
     path = tmp_path / "prod.json"
     save_model(builtin_models()["product_example"].symbol, path)

@@ -35,6 +35,21 @@ def test_slope_parse():
     assert str(Slope.rational(2, -4)) == "-1/2"
 
 
+def test_slope_holds_only_lowest_terms_or_unit_infinities():
+    """``(p, q)`` is p/q in lowest terms with q >= 1, or (+-1, 0) for +-inf.
+    (0, 0) and (3, 0) would divide by zero in ``value``, (2, 4) would build a
+    non-primitive strip, and (1, -2) a misleading empty region."""
+    assert Slope(1, 0) == Slope.plus_inf() and str(Slope(1, 0)) == "inf"
+    assert Slope(-1, 0) == Slope.minus_inf() and Slope(-1, 0).value == -math.inf
+    assert SlopePair(Slope(0, 1), Slope(1, 0)) == SlopePair(Slope.rational(0, 1),
+                                                            Slope.plus_inf())
+    for p, q in ((0, 0), (3, 0), (2, 4), (1, -2), (0, 2), (1.0, 2)):
+        with pytest.raises(GeometryError, match="lowest terms"):
+            Slope(p, q)
+    with pytest.raises(TypeError):
+        Slope(3, 0, "+inf")
+
+
 def test_slope_pair_ordering():
     SlopePair(Slope.rational(0, 1), Slope.plus_inf())
     SlopePair(Slope.minus_inf(), Slope.rational(1, 2))

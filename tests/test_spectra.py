@@ -172,10 +172,10 @@ def test_window_solver_certificate_cost(monkeypatch):
     first solve gets ``count + min(annulus, 8)`` columns.  A failing sizing
     count falls back to ``count + 8`` and still returns the dense pairs.
 
-    Solves per sweep (between two QR steps): 2, the Chebyshev filter, when
-    the annulus is certified to hold at most 8 (``few``, and ``on_sizing``
-    with unwanted eigenvalues right on the filter's interval edge +-2.1w);
-    1 when it holds more (``crowded``) or a sizing count fails."""
+    Solves per sweep (between two QR steps): 2, the Chebyshev filter, on
+    every spectrum: an annulus of at most 8 (``few``, and ``on_sizing`` with
+    unwanted eigenvalues right on the filter's interval edge +-2.1w), a
+    crowded one (``crowded``) and a failing sizing count."""
     w, edge = 0.45, 1.05 * 0.45
     counted, factored, widths, fail_at, solves = [], [], [], [], []
     count_below, factor, qr = spectra._count_below, spectra._factor, np.linalg.qr
@@ -205,8 +205,7 @@ def test_window_solver_certificate_cost(monkeypatch):
     few = [0.1, -0.1, 0.2, -0.2, 0.6, -0.7] + [2.5, -2.5] * 6
     crowded = [0.1, -0.1] + list(np.linspace(0.5, 0.9, 10)) + [2.5, -2.5] * 6
     on_sizing = few + [s * 2 * edge * (1 + d) for s in (1, -1) for d in (1e-9, -1e-9)]
-    for spectrum, fail, per_sweep in [(few, [], 2), (on_sizing, [], 2), (crowded, [], 1),
-                                      (few, [2 * edge], 1)]:
+    for spectrum, fail in [(few, []), (on_sizing, []), (crowded, []), (few, [2 * edge])]:
         op = _block_diagonal_op(spectrum, seed=1)
         for log in (counted, factored, widths, solves):
             log.clear()
@@ -222,7 +221,7 @@ def test_window_solver_certificate_cost(monkeypatch):
         assert counted == [edge, -edge, 2 * edge] + sizing[1:]
         assert factored == [edge, -edge] + sizing + [0.0]
         assert widths[0] == count + (8 if fail else min(annulus, 8))
-        assert solves == list(range(per_sweep, len(widths) + 1, per_sweep))
+        assert solves == list(range(2, len(widths) + 1, 2))
         assert np.allclose(sl.eigenvalues, dense[np.abs(dense) <= edge], atol=1e-12)
         gram = sl.eigenvectors.conj().T @ sl.eigenvectors
         assert np.max(np.abs(gram - np.eye(count))) < 1e-10
@@ -463,6 +462,55 @@ def test_tracking_refinement_resolves_fast_rotation():
     track = track_branches(slices, window=0.5, refine_fn=make)
     assert len(crossings(track)) == 0
     assert sum(len(pairs) for pairs in track.links) == 3
+
+
+def test_tracking_refines_an_eigenvalue_jump_above_the_rate_bound():
+    """Two fixed levels 0.1 and 0.3 whose eigenvectors turn by t / 2: each
+    grid interval turns them by 57-65 degrees, so the overlap assignment
+    swaps them (overlap 0.84-0.91, above ``OVERLAP_MIN``) and every link
+    jumps 0.2, above ``jump_bound * dt`` (0.10-0.11).  Only the Lipschitz check
+    catches that: one bisection per interval links each level to itself."""
+    calls = []
+
+    def make(t):
+        calls.append(t)
+        th = 0.5 * t
+        rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]], dtype=complex)
+        return SpectralSlice(np.array([0.1, 0.3]), rot, t=float(t))
+
+    slices = [make(t) for t in (0.5, 2.5, 4.5)]
+    calls.clear()
+    swapped = track_branches(slices, window=0.5)
+    assert all(u != v for pairs in swapped.links for u, v, _ in pairs)
+    with pytest.raises(TrackingError, match="ambiguous"):
+        track_branches(slices, window=0.5, jump_bound=0.05)
+    track = track_branches(slices, window=0.5, jump_bound=0.05, refine_fn=make)
+    assert len(calls) == 3
+    assert [sorted((u, v) for u, v, _ in pairs) for pairs in track.links] == \
+        [[(0.1, 0.1), (0.3, 0.3)]] * 3
+
+
+def test_window_solver_refuses_after_the_solve_budget(monkeypatch):
+    """An occupied window whose block has not converged within
+    ``_BLOCK_MAX_SOLVES`` solves is refused, not returned half converged."""
+    op = _random_hermitian_op(60, 3)
+    dense = np.linalg.eigvalsh(op.dense())
+    assert np.any(np.abs(dense) <= 1.05 * 0.45)
+    monkeypatch.setattr(spectra, "_BLOCK_MAX_SOLVES", 2)
+    with pytest.raises(EigensolverError, match="did not converge .* after 2 solves"):
+        diagonalize_window(op, 0.45)
+
+
+def test_inertia_count_refuses_an_off_diagonal_pivot(monkeypatch):
+    """With a row permutation other than the column one, the factorization is
+    no congruence, and its pivot signs count nothing: the count is refused."""
+
+    class Pivoted:
+        perm_r, perm_c = np.array([1, 0]), np.array([0, 1])
+
+    monkeypatch.setattr(spectra, "_factor", lambda pattern, values, shift: (Pivoted(), shift))
+    with pytest.raises(EigensolverError, match="pivoted off the diagonal"):
+        spectra._count_below(None, None, 0.3)
 
 
 def _orthonormal(rng, d, k):

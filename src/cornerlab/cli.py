@@ -8,10 +8,11 @@ corner-flow     spectral flow of the corner family -> JSON + SVG.
 verify-product  both sides of the corner product formula -> verdict JSON.
 report          consolidated invariant report for a dim-3 model -> JSON.
 
-Every JSON document embeds the parsed configuration and the package
-version; two runs with the same flags produce byte-identical JSON.  SVG
-output carries a generation timestamp comment unless --no-timestamps is
-given.  Exit codes: 0 success, 2 model or configuration error, 3
+Each subcommand takes only the flags it reads (``_COMMANDS``), and each
+JSON document echoes the parsed flags of its own subcommand, with the
+package version; two runs with the same flags produce byte-identical JSON.
+SVG output carries a generation timestamp comment unless --no-timestamps
+is given.  Exit codes: 0 success, 2 model or configuration error, 3
 numerical failure, 4 spectral-gap assumption violated.
 """
 
@@ -20,7 +21,7 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -33,51 +34,29 @@ from .errors import (
     ResidualError,
     TrackingError,
 )
-from . import assembly, geometry, invariants, symbol
+from . import geometry, invariants, symbol
 
 PERTURB_NORM = 0.1  # on-site disorder strength used when --seed is given
 
 
-@dataclass
-class RunConfig:
-    """Parsed flags, echoed verbatim into every output document (defaults: ``_add_common``)."""
+# Admissible values of the range-checked flags: (flag, test, requirement).
+_RANGES = (
+    ("L", lambda v: v >= 1, "be at least 1"),
+    ("W", lambda v: v >= 1, "be at least 1"),
+    ("t-grid", lambda v: v >= 4, "be at least 4"),
+    ("k-grid", lambda v: v >= 2, "be at least 2"),
+    ("window", lambda v: v > 0, "be positive"),
+    ("gap-threshold", lambda v: 0 <= v < np.inf, "be finite and >= 0"),
+    ("mask-threshold", lambda v: 0 < v < 1, "lie in (0, 1)"),
+)
 
-    command: str
-    alpha: str
-    beta: str
-    L: int
-    W: int
-    t_grid: int
-    k_grid: int
-    window: float | None
-    mask_threshold: float
-    out: str
-    seed: int | None
-    no_timestamps: bool
-    model: str | None = None
-    builtin: str | None = None
-    gap_threshold: float | None = None
-    sweep_axis: int | None = None
-    h1: str | None = None
-    h2: str | None = None
 
-    def __post_init__(self):
-        if self.L < 1 or self.W < 1:
-            raise ModelError(f"L and W must be positive, got L={self.L}, W={self.W}")
-        if self.t_grid < 4:
-            raise ModelError(f"t-grid must be at least 4, got {self.t_grid}")
-        if self.k_grid < 2:
-            raise ModelError(f"k-grid must be at least 2, got {self.k_grid}")
-        if self.window is not None and not self.window > 0:
-            raise ModelError(f"window must be positive, got {self.window}")
-        if self.gap_threshold is not None and not 0 <= self.gap_threshold < np.inf:
-            raise ModelError(f"gap-threshold must be finite and >= 0, got {self.gap_threshold}")
-        if not 0.0 < self.mask_threshold < 1.0:
-            raise ModelError(
-                f"mask-threshold must lie in (0, 1), got {self.mask_threshold}")
-
-    def to_dict(self):
-        return asdict(self)
+def _check(cfg):
+    """Refuse an out-of-range value of any flag ``cfg`` carries with ModelError."""
+    for flag, ok, rule in _RANGES:
+        value = vars(cfg).get(flag.replace("-", "_"))
+        if value is not None and not ok(value):
+            raise ModelError(f"{flag} must {rule}, got {value}")
 
 
 def _load_named(name, catalog):
@@ -114,7 +93,7 @@ def _slope_pair(cfg):
 
 def _write_json(cfg, name, doc):
     doc = dict(doc)
-    doc["config"] = cfg.to_dict()
+    doc["config"] = {k: v for k, v in vars(cfg).items() if k != "func"}
     doc["version"] = __version__
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, name)
@@ -352,31 +331,51 @@ def cmd_report(cfg):
 
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, with_model=True):
-    if with_model:
-        sp.add_argument("--model", help="path to a model JSON file")
-        sp.add_argument("--builtin", help="builtin model name (see symbol.builtin_models)")
-    sp.add_argument("--alpha", default="0", help="first edge slope (p/q or -inf)")
-    sp.add_argument("--beta", default="inf", help="second edge slope (p/q or inf)")
-    sp.add_argument("--L", type=int, default=24, help="corner truncation radius")
-    sp.add_argument("--W", type=int, default=40,
-                    help="edge strip depth of the edge-gap and report scans (a corner "
-                         f"flow's Fredholm scan is fixed at {invariants._FLOW_EDGE_W})")
-    sp.add_argument("--t-grid", type=int, default=64, dest="t_grid",
-                    help="points on the parameter circle")
-    sp.add_argument("--k-grid", type=int, default=16, dest="k_grid",
-                    help="points per angle in the edge-gap and report scans (a corner "
-                         "flow's Fredholm scan is fixed at %dx%d)" % invariants._FLOW_EDGE_GRID)
-    sp.add_argument("--window", type=float, default=None,
-                    help="tracking half-width (default: scaled to the edge gap)")
-    sp.add_argument("--mask-threshold", type=float, dest="mask_threshold",
-                    default=invariants.DEFAULT_MASK_THRESHOLD,
-                    help="corner-localization weight for a crossing to count")
-    sp.add_argument("--out", default=".", help="output directory")
-    sp.add_argument("--seed", type=int, default=None,
-                    help=f"if given, add a seeded on-site perturbation of norm {PERTURB_NORM}")
-    sp.add_argument("--no-timestamps", action="store_true", dest="no_timestamps",
-                    help="omit the generation timestamp from SVG output")
+# Every flag a subcommand may take, with its argparse keywords; the parsed
+# namespace is the run's configuration, attribute names as argparse derives them.
+_FLAGS = {
+    "--model": dict(help="path to a model JSON file"),
+    "--builtin": dict(help="builtin model name (see symbol.builtin_models)"),
+    "--seed": dict(type=int,
+                   help=f"if given, add a seeded on-site perturbation of norm {PERTURB_NORM}"),
+    "--h1": dict(help="dim-2 factor (builtin name or file)"),
+    "--h2": dict(help="dim-1 chiral factor (builtin name or file)"),
+    "--alpha": dict(default="0", help="first edge slope (p/q or -inf)"),
+    "--beta": dict(default="inf", help="second edge slope (p/q or inf)"),
+    "--L": dict(type=int, default=24, help="corner truncation radius"),
+    "--W": dict(type=int, default=40,
+                help="edge strip depth of the edge-gap and report scans (a corner "
+                     f"flow's Fredholm scan is fixed at {invariants._FLOW_EDGE_W})"),
+    "--t-grid": dict(type=int, default=64, help="points on the parameter circle"),
+    "--k-grid": dict(type=int, default=16,
+                     help="points per angle in the edge-gap and report scans (a corner "
+                          "flow's Fredholm scan is fixed at %dx%d)" % invariants._FLOW_EDGE_GRID),
+    "--window": dict(type=float, help="tracking half-width (default: scaled to the edge gap)"),
+    "--mask-threshold": dict(type=float, default=invariants.DEFAULT_MASK_THRESHOLD,
+                             help="corner-localization weight for a crossing to count"),
+    "--gap-threshold": dict(type=float, help="PASS iff both minima reach this value "
+                                                f"(default {invariants._EDGE_GAP_FLOOR})"),
+    "--sweep-axis": dict(type=int, help="which angle to sweep (default: last axis)"),
+    "--out": dict(default=".", help="output directory"),
+    "--no-timestamps": dict(action="store_true",
+                            help="omit the generation timestamp from SVG output"),
+}
+
+# Subcommand -> (handler, help, the flags its handler reads; "!" marks a required one).
+_COMMANDS = {
+    "bulk-spectrum": (cmd_bulk_spectrum, "Bloch bands along one swept angle",
+                      "--model --builtin --seed --t-grid --sweep-axis --out --no-timestamps"),
+    "edge-gap": (cmd_edge_gap, "minimum gap of both edge compressions",
+                 "--model --builtin --seed --alpha --beta --W --k-grid --gap-threshold --out"),
+    "corner-flow": (cmd_corner_flow, "spectral flow of the corner family",
+                    "--model --builtin --seed --alpha --beta --L --t-grid --window "
+                    "--mask-threshold --out --no-timestamps"),
+    "verify-product": (cmd_verify_product, "check sf(corner) == I_2d * I_1d for a factor pair",
+                       "--h1! --h2! --alpha --beta --L --t-grid --window --mask-threshold --out"),
+    "report": (cmd_report, "consolidated invariant report (dim-3 model)",
+               "--model --builtin --seed --alpha --beta --L --W --t-grid --k-grid --window "
+               "--mask-threshold --h1 --h2 --out"),
+}
 
 
 def _build_parser():
@@ -386,36 +385,12 @@ def _build_parser():
                     "of lattice Hamiltonians")
     p.add_argument("--version", action="version", version=f"cornerlab {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("bulk-spectrum", help="Bloch bands along one swept angle")
-    _add_common(sp)
-    sp.add_argument("--sweep-axis", type=int, default=None, dest="sweep_axis",
-                    help="which angle to sweep (default: last axis)")
-    sp.set_defaults(func=cmd_bulk_spectrum)
-
-    sp = sub.add_parser("edge-gap", help="minimum gap of both edge compressions")
-    _add_common(sp)
-    sp.add_argument("--gap-threshold", type=float, default=None, dest="gap_threshold",
-                    help="PASS iff both minima reach this value "
-                         f"(default {invariants._EDGE_GAP_FLOOR})")
-    sp.set_defaults(func=cmd_edge_gap)
-
-    sp = sub.add_parser("corner-flow", help="spectral flow of the corner family")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_corner_flow)
-
-    sp = sub.add_parser("verify-product",
-                        help="check sf(corner) == I_2d * I_1d for a factor pair")
-    _add_common(sp, with_model=False)
-    sp.add_argument("--h1", required=True, help="dim-2 factor (builtin name or file)")
-    sp.add_argument("--h2", required=True, help="dim-1 chiral factor (builtin name or file)")
-    sp.set_defaults(func=cmd_verify_product)
-
-    sp = sub.add_parser("report", help="consolidated invariant report (dim-3 model)")
-    _add_common(sp)
-    sp.add_argument("--h1", default=None, help="optional dim-2 factor for the bulk-edge pair")
-    sp.add_argument("--h2", default=None, help="optional dim-1 chiral factor")
-    sp.set_defaults(func=cmd_report)
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            option = flag.rstrip("!")
+            sp.add_argument(option, required=flag != option, **_FLAGS[option])
+        sp.set_defaults(func=func)
     return p
 
 
@@ -444,11 +419,10 @@ def main(argv=None):
         flag, value = argv[i:i + 2]
         if flag in ("--alpha", "--beta") and value.startswith("-") and value[1:2] != "-":
             argv[i:i + 2] = [f"{flag}={value}"]
-    args = _build_parser().parse_args(argv)
-    fields = {k: v for k, v in vars(args).items() if k != "func"}
+    cfg = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(**fields)
-        return args.func(cfg)
+        _check(cfg)
+        return cfg.func(cfg)
     except GapClosedError as exc:
         print(_error_doc(exc))
         return 4

@@ -382,10 +382,10 @@ def edge_gap_scan(sym, pair, W, grid=(16, 16)):
     t_vals = 2 * np.pi * np.arange(nt) / nt
     minima = []
     for which, slope in ((geometry.ALPHA, pair.alpha), (geometry.BETA, pair.beta)):
-        def near(site, which=which, slope=slope):
-            return geometry.strip_depth(slope, which, site) < W / 2
-
         family = assembly.strip_family(sym, slope, which, W)
+        sites = family.region.sites
+        near = {s for s, d in zip(sites, geometry.strip_depth(slope, which, sites))
+                if d < W / 2}.__contains__
         screen = sorted(
             (_strip_lower_bound(family.banded(k_edge, t)) + (k_edge, t)
              for k_edge in k_vals for t in t_vals),
@@ -626,8 +626,7 @@ def edge_spectral_flow(sym, W=40, n_t=64):
 
     raw = _tracked_crossings(build, n_t, window, partial(spectra.localization_weight, mask=near),
                              _parameter_rate(sym, 1))
-    return sum(c.direction for c in raw
-               if c.weight is not None and c.weight >= DEFAULT_MASK_THRESHOLD)
+    return sum(c.direction for c in raw if c.weight >= NEAR_WALL_WEIGHT_MIN)
 
 
 # ---------------------------------------------------------------------------

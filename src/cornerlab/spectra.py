@@ -316,7 +316,6 @@ class BranchTrack:
     """
 
     grid: np.ndarray
-    window: float
     links: list
 
 
@@ -425,7 +424,7 @@ def track_branches(slices, window, weight_fn=None, jump_bound=None, refine_fn=No
             w = float(np.mean([weight_fn(sl_a, ia), weight_fn(sl_b, ib)])) if crosses else None
             pairs.append((u, v, w))
         links.append(pairs)
-    return BranchTrack(grid, window, links)
+    return BranchTrack(grid, links)
 
 
 def crossings(track):

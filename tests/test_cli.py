@@ -1,11 +1,12 @@
 """Command-line interface, exercised in process through main(argv)."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from cornerlab.cli import main
+from cornerlab.cli import _build_parser, main
 from cornerlab.symbol import builtin_models, save_model
 
 
@@ -168,7 +169,7 @@ def test_model_flag_xor(tmp_path, capsys):
 def test_config_validation_exits_2():
     assert run("corner-flow", "--builtin", "product_example",
                "--mask-threshold", "1.5") == 2
-    assert run("edge-gap", "--builtin", "product_example", "--t-grid", "2") == 2
+    assert run("corner-flow", "--builtin", "product_example", "--t-grid", "2") == 2
     assert run("corner-flow", "--builtin", "product_example", "--L", "12",
                "--t-grid", "8", "--window", "nan") == 2
     assert run("corner-flow", "--builtin", "product_example", "--L", "12",
@@ -176,6 +177,49 @@ def test_config_validation_exits_2():
     for bad in ("nan", "inf", "-1"):
         assert run("edge-gap", "--builtin", "product_example", "--W", "8",
                    "--k-grid", "2", "--gap-threshold", bad) == 2
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("corner-flow", "--L", "0"), "L"),
+    (("edge-gap", "--W", "0"), "W"),
+    (("edge-gap", "--k-grid", "1"), "k-grid"),
+], ids=["L", "W", "k-grid"])
+def test_lattice_sizes_refused_before_any_work(tmp_path, capsys, args, flag):
+    assert run(*args, "--builtin", "product_example", "--out", str(tmp_path)) == 2
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"]["type"] == "ModelError"
+    assert err["error"]["message"].startswith(f"{flag} must be at least")
+    assert not list(tmp_path.iterdir())
+
+
+MODEL = {"--model", "--builtin", "--seed"}
+SLOPES = {"--alpha", "--beta"}
+FLOW = {"--L", "--t-grid", "--window", "--mask-threshold"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("bulk-spectrum", MODEL | {"--t-grid", "--sweep-axis", "--out", "--no-timestamps"}),
+    ("edge-gap", MODEL | SLOPES | {"--W", "--k-grid", "--gap-threshold", "--out"}),
+    ("corner-flow", MODEL | SLOPES | FLOW | {"--out", "--no-timestamps"}),
+    ("verify-product", {"--h1", "--h2"} | SLOPES | FLOW | {"--out"}),
+    ("report", MODEL | SLOPES | FLOW | {"--W", "--k-grid", "--h1", "--h2", "--out"}),
+])
+def test_each_subcommand_takes_only_the_flags_it_reads(command, flags):
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    taken = {s for a in subparsers.choices[command]._actions for s in a.option_strings}
+    assert taken - {"-h", "--help"} == flags
+
+
+@pytest.mark.parametrize("args", [
+    ("verify-product", "--h1", "h1_example", "--h2", "h2_example", "--seed", "3"),
+    ("edge-gap", "--builtin", "product_example", "--t-grid", "8"),
+    ("bulk-spectrum", "--builtin", "product_example", "--L", "8"),
+], ids=["verify-product-seed", "edge-gap-t-grid", "bulk-spectrum-L"])
+def test_a_flag_the_subcommand_does_not_read_is_refused(args):
+    with pytest.raises(SystemExit) as info:
+        run(*args)
+    assert info.value.code == 2
 
 
 def test_negative_slopes_as_separate_values(tmp_path, capsys):

@@ -170,16 +170,15 @@ def assemble_corner(sym, pair, L, t):
 
 
 def strip_family(sym, slope, which, W):
-    """Edge compressions of a dim-2 or dim-3 symbol: one supercell wide, W layers deep.
+    """Edge compressions of a symbol: one supercell wide, W layers deep.
 
     Hops leaving the supercell along the edge re-enter with the Bloch phase
     ``exp(i k_edge j)``, j counting supercell translations; hops leaving the
     W layers are dropped (Dirichlet walls at depths 0 and W-1).  Validated as
     one strip; geometry, pattern and band layout are built once for all
-    ``(k_edge, t)``.
+    ``(k_edge, t)``.  A dim-1 symbol has no edge axis: its slope-inf beta
+    strip is the half-line, sites 0..W-1 with j always 0.
     """
-    if sym.dim not in (2, 3):
-        raise ModelError(f"edge strip expects a dim-2 or dim-3 symbol, got dim {sym.dim}")
     region, depths = geometry.strip_region(slope, which, W, sym.norb)
     rng = max(sym.hopping_range()[:2])
     if W <= rng:
@@ -196,7 +195,7 @@ def strip_family(sym, slope, which, W):
 
     family, norb, n = _family(sym, region, reduce), sym.norb, region.dof
     rank = np.empty(region.n_sites, dtype=np.int64)
-    rank[np.argsort(list(depths.values()), kind="stable")] = np.arange(region.n_sites)
+    rank[np.argsort(depths, kind="stable")] = np.arange(region.n_sites)
     dof_rank = (rank[:, None] * norb + np.arange(norb)).ravel()
     band_row, band_col = dof_rank[family.entries % n], dof_rank[family.entries // n]
     lower = band_row >= band_col
@@ -205,18 +204,16 @@ def strip_family(sym, slope, which, W):
 
 
 def assemble_edge_strip(sym, slope, which, W, k_edge, t=None):
-    """The strip of :func:`strip_family` at ``(k_edge, t)``; ``t`` is needed in dim 3."""
+    """The strip of :func:`strip_family` at ``(k_edge, t)`` for a dim-2 or dim-3
+    symbol; ``t`` is needed in dim 3."""
+    if sym.dim not in (2, 3):
+        raise ModelError(f"edge strip expects a dim-2 or dim-3 symbol, got dim {sym.dim}")
     return strip_family(sym, slope, which, W).operator(k_edge, t)
 
 
 def assemble_halfline(sym, W):
-    """Half-line compression of a dim-1 symbol on sites 0..W-1 (Dirichlet)."""
+    """Half-line compression of a dim-1 symbol on sites 0..W-1 (Dirichlet):
+    the slope-inf beta :func:`strip_family` of the symbol."""
     if sym.dim != 1:
         raise ModelError(f"half-line assembly expects a dim-1 symbol, got dim {sym.dim}")
-    W = geometry.lattice_size("W", W)
-    rng = sym.hopping_range()[0]
-    if W <= rng:
-        raise GeometryError(f"W={W} must exceed the hopping range {rng}")
-    region = geometry.LatticeRegion(
-        np.column_stack((np.arange(W), np.zeros(W, dtype=int))), sym.norb)
-    return _family(sym, region).operator()
+    return strip_family(sym, geometry.Slope.plus_inf(), geometry.BETA, W).operator()

@@ -48,6 +48,7 @@ _RANGES = (
     ("window", lambda v: v > 0, "be positive"),
     ("gap-threshold", lambda v: 0 <= v < np.inf, "be finite and >= 0"),
     ("mask-threshold", lambda v: 0 < v < 1, "lie in (0, 1)"),
+    ("seed", lambda v: v >= 0, "be at least 0"),
 )
 
 
@@ -315,10 +316,12 @@ def cmd_verify_product(cfg):
 
 
 def cmd_report(cfg):
+    if (cfg.h1 is None) != (cfg.h2 is None):
+        raise ModelError("report takes both --h1 and --h2, or neither")
     catalog = symbol.builtin_models()
     sym, _ = _load_model(cfg, catalog)
     pair = _slope_pair(cfg)
-    factors = _load_factors(cfg, catalog) if cfg.h1 is not None and cfg.h2 is not None else None
+    factors = _load_factors(cfg, catalog) if cfg.h1 is not None else None
     report = invariants.compute_report(
         sym, pair, W=cfg.W, edge_grid=(cfg.k_grid, cfg.k_grid), L=cfg.L,
         n_t=cfg.t_grid, window=cfg.window, threshold=cfg.mask_threshold,

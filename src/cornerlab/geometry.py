@@ -249,8 +249,9 @@ def strip_region(slope, which, W, norb):
     region : LatticeRegion
         ``W * q`` sites for a rational slope p/q (W sites for infinite
         slopes), one supercell wide along the edge direction.
-    depths : dict
-        site -> transverse depth, 0 on the boundary layer.
+    depths : ndarray of int
+        Each site's transverse depth in region order, 0 on the boundary
+        layer.
 
     Translating the returned sites by integer multiples of
     :func:`edge_supercell` tiles the full W-layer strip exactly.
@@ -265,8 +266,8 @@ def strip_region(slope, which, W, norb):
         box = _box(np.arange(slope.q), np.arange(-reach, reach + 1))
     depth = strip_depth(slope, which, box)
     inside = (depth >= 0) & (depth < W)
-    region = LatticeRegion(box[inside], norb)
-    return region, dict(zip(region.sites, depth[inside].tolist()))
+    # The box is in lexicographic order, so region order keeps depth[inside].
+    return LatticeRegion(box[inside], norb), depth[inside]
 
 
 def reduce_to_supercell(slope, site):

@@ -226,6 +226,13 @@ def _bulk_gap_on_grid(sym, n):
     return float(np.min(gaps))
 
 
+def _near_wall(slope, which, region, W):
+    """Membership in the sites of ``region`` less than W/2 deep: the far wall
+    of a W-layer strip hosts the states of the opposite compression."""
+    depth = geometry.strip_depth(slope, which, region.sites)
+    return {s for s, d in zip(region.sites, depth) if d < W / 2}.__contains__
+
+
 def _halfline_kernel_states(sym, grading, W):
     """Grading form on the near-kernel of the half-line compression, and W.
 
@@ -236,12 +243,8 @@ def _halfline_kernel_states(sym, grading, W):
     op = assembly.assemble_halfline(sym, W)
     if W < 2 * sym.hopping_range()[0]:
         raise _RefineNeeded("W is below twice the hopping range")
-    sl = spectra.diagonalize(op)
-
-    def near(site):
-        return site[0] < W / 2
-
-    sl = spectra.sharpen_degeneracies(sl, near, matrix=op.matrix)
+    near = _near_wall(geometry.Slope.plus_inf(), geometry.BETA, op.region, W)
+    sl = spectra.sharpen_degeneracies(spectra.diagonalize(op), near, matrix=op.matrix)
     idx = np.nonzero(np.abs(sl.eigenvalues) < KERNEL_TOL)[0]
     weights = spectra.all_weights(sl, near)[idx]
     ambiguous = (weights > 1 - KERNEL_WEIGHT_MIN) & (weights < KERNEL_WEIGHT_MIN)
@@ -383,9 +386,7 @@ def edge_gap_scan(sym, pair, W, grid=(16, 16)):
     minima = []
     for which, slope in ((geometry.ALPHA, pair.alpha), (geometry.BETA, pair.beta)):
         family = assembly.strip_family(sym, slope, which, W)
-        sites = family.region.sites
-        near = {s for s, d in zip(sites, geometry.strip_depth(slope, which, sites))
-                if d < W / 2}.__contains__
+        near = _near_wall(slope, which, family.region, W)
         screen = sorted(
             (_strip_lower_bound(family.banded(k_edge, t)) + (k_edge, t)
              for k_edge in k_vals for t in t_vals),
@@ -419,7 +420,7 @@ class FlowCrossing:
     t: float
     direction: int
     multiplicity: int
-    weight: float | None
+    weight: float
     member_weights: tuple
 
 
@@ -431,18 +432,13 @@ class FlowDetail:
     window: float
     threshold: float
     grid_points: int
-    edge_gaps: tuple | None = None
+    edge_gaps: tuple
     samples: list | None = None
 
     def net_at(self, threshold):
         """Net signed flow recounted at a different localization threshold."""
-        net = 0
-        for c in self.crossings:
-            if not c.member_weights:
-                net += c.direction * c.multiplicity
-            else:
-                net += c.direction * sum(1 for w in c.member_weights if w >= threshold)
-        return net
+        return sum(c.direction * sum(1 for w in c.member_weights if w >= threshold)
+                   for c in self.crossings)
 
 
 def _merge_crossings(raw):
@@ -451,18 +447,11 @@ def _merge_crossings(raw):
         if rows and rows[-1].direction == c.direction and abs(rows[-1].t - c.t) <= _MERGE_TOL:
             prev = rows[-1]
             # Sorted, so that the solver's basis of a degenerate eigenspace is not output.
-            members = tuple(sorted(
-                prev.member_weights + ((c.weight,) if c.weight is not None else ())))
-            rows[-1] = FlowCrossing(
-                t=prev.t,
-                direction=prev.direction,
-                multiplicity=prev.multiplicity + 1,
-                weight=None if not members else float(np.mean(members)),
-                member_weights=members,
-            )
+            members = tuple(sorted(prev.member_weights + (c.weight,)))
+            rows[-1] = FlowCrossing(prev.t, prev.direction, prev.multiplicity + 1,
+                                    float(np.mean(members)), members)
         else:
-            members = (c.weight,) if c.weight is not None else ()
-            rows.append(FlowCrossing(c.t, c.direction, 1, c.weight, members))
+            rows.append(FlowCrossing(c.t, c.direction, 1, c.weight, (c.weight,)))
     return rows
 
 
@@ -480,24 +469,32 @@ def _offset_grid(n_t):
     return (np.arange(n_t) + 0.5) * 2 * np.pi / n_t
 
 
-def _tracked_crossings(build_slice, n_t, window, weight_fn, jump_bound):
-    """Every signed zero crossing of the family over the closed t-grid.
+def _tracked_crossings(point, n_t, window, profile, mask, rate, samples=None):
+    """Every signed zero crossing of the family ``point(t)`` over the closed t-grid.
 
-    A loop of finite Hermitian matrices ends with as many eigenvalues below
-    0 as it started with, so the directions must sum to 0; a lost or doubled
-    crossing raises TrackingError, as does a grid of fewer than 3 points,
-    before any slice is built.
+    The slice builder of both flows: every slice, refined ones included, is
+    window-solved, sharpened by ``profile`` and, if ``samples`` is a list,
+    recorded there as ``(t, eigenvalues, weights on mask)``.  Branches are
+    tracked at jump bound ``rate``; each crossing carries its mean endpoint
+    weight on ``mask``.  A loop of finite Hermitian matrices ends with as
+    many eigenvalues below 0 as it started with, so the directions must sum
+    to 0; a lost or doubled crossing raises TrackingError, as does a grid of
+    fewer than 3 points, before any slice is built.
     """
     if n_t < 3:
         raise TrackingError("need at least 3 grid points on the circle")
-    slices = [build_slice(t) for t in _offset_grid(n_t)]
-    track = spectra.track_branches(
-        slices,
-        window,
-        weight_fn=weight_fn,
-        jump_bound=jump_bound,
-        refine_fn=build_slice,
-    )
+
+    def build(t):
+        op = point(t)
+        sl = spectra.diagonalize_window(op, window)
+        sl = spectra.sharpen_degeneracies(sl, profile, matrix=op.matrix)
+        if samples is not None:
+            samples.append((t, sl.eigenvalues.copy(), spectra.all_weights(sl, mask)))
+        return sl
+
+    track = spectra.track_branches([build(t) for t in _offset_grid(n_t)], window,
+                                   weight_fn=partial(spectra.localization_weight, mask=mask),
+                                   jump_bound=rate, refine_fn=build)
     found = spectra.crossings(track)
     if total := sum(c.direction for c in found):
         raise TrackingError(
@@ -571,17 +568,8 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None,
 
     samples = [] if keep_samples else None
     family = assembly.corner_family(sym, pair, L)
-
-    def build(t):
-        op = family.operator(t=t)
-        sl = spectra.diagonalize_window(op, window)
-        sl = spectra.sharpen_degeneracies(sl, _corner_profile, matrix=op.matrix)
-        if samples is not None:
-            samples.append((t, sl.eigenvalues.copy(), spectra.all_weights(sl, mask)))
-        return sl
-
-    raw = _tracked_crossings(build, n_t, window, partial(spectra.localization_weight, mask=mask),
-                             _parameter_rate(sym, 2))
+    raw = _tracked_crossings(lambda t: family.operator(t=t), n_t, window, _corner_profile, mask,
+                             _parameter_rate(sym, 2), samples)
     detail = FlowDetail(
         crossings=_merge_crossings(raw),
         window=window,
@@ -614,17 +602,10 @@ def edge_spectral_flow(sym, W=40, n_t=64):
         raise ModelError(f"edge flow needs a dim-2 symbol, got dim {sym.dim}")
     n_t = geometry.lattice_size("n_t", n_t)
     window = 0.45 * _bulk_gap_on_grid(sym, 32)
-    family = assembly.strip_family(sym, geometry.Slope.plus_inf(), geometry.BETA, W)
-
-    def near(site):
-        return site[0] < W / 2
-
-    def build(t):
-        op = family.operator(-t, t)
-        sl = spectra.diagonalize_window(op, window)
-        return spectra.sharpen_degeneracies(sl, near, matrix=op.matrix)
-
-    raw = _tracked_crossings(build, n_t, window, partial(spectra.localization_weight, mask=near),
+    slope = geometry.Slope.plus_inf()
+    family = assembly.strip_family(sym, slope, geometry.BETA, W)
+    near = _near_wall(slope, geometry.BETA, family.region, W)
+    raw = _tracked_crossings(lambda t: family.operator(-t, t), n_t, window, near, near,
                              _parameter_rate(sym, 1))
     return sum(c.direction for c in raw if c.weight >= NEAR_WALL_WEIGHT_MIN)
 

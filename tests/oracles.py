@@ -295,9 +295,10 @@ def oracle_edge_spectral_flow(sym, W, n_t):
     symbol is folded with ``partial_bloch(sym, 1, -t)``, compressed with
     ``assemble_halfline`` and fully diagonalized; each slice is given its t.
 
-    Returns the net flow and the tracked crossings.  Like
-    ``oracle_edge_gap_scan`` it reuses the package's tracking, since what it
-    checks is the strip family and the window solver that replace this loop.
+    Returns the net flow and the tracked crossings, whose directions must sum
+    to 0 around the loop.  Like ``oracle_edge_gap_scan`` it reuses the
+    package's branch linking, since what it checks is the strip family and
+    the window solver that replace this loop.
     """
     from cornerlab import assembly, invariants, spectra
     from cornerlab.symbol import partial_bloch
@@ -312,9 +313,12 @@ def oracle_edge_spectral_flow(sym, W, n_t):
         sl = dataclasses.replace(spectra.diagonalize(op), t=float(t))
         return spectra.sharpen_degeneracies(sl, near, matrix=op.matrix)
 
-    raw = invariants._tracked_crossings(
-        build, n_t, window, lambda sl, i: spectra.localization_weight(sl, i, near),
-        invariants._parameter_rate(sym, 1))
+    track = spectra.track_branches(
+        [build(t) for t in invariants._offset_grid(n_t)], window,
+        weight_fn=lambda sl, i: spectra.localization_weight(sl, i, near),
+        jump_bound=invariants._parameter_rate(sym, 1), refine_fn=build)
+    raw = spectra.crossings(track)
+    assert sum(c.direction for c in raw) == 0
     net = sum(c.direction for c in raw
               if c.weight is not None and c.weight >= invariants.DEFAULT_MASK_THRESHOLD)
     return net, raw

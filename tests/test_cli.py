@@ -183,7 +183,8 @@ def test_config_validation_exits_2():
     (("corner-flow", "--L", "0"), "L"),
     (("edge-gap", "--W", "0"), "W"),
     (("edge-gap", "--k-grid", "1"), "k-grid"),
-], ids=["L", "W", "k-grid"])
+    (("corner-flow", "--seed", "-1"), "seed"),
+], ids=["L", "W", "k-grid", "seed"])
 def test_lattice_sizes_refused_before_any_work(tmp_path, capsys, args, flag):
     assert run(*args, "--builtin", "product_example", "--out", str(tmp_path)) == 2
     err = json.loads(capsys.readouterr().out.strip())
@@ -272,6 +273,18 @@ def test_report_with_factors(tmp_path):
     assert doc["kernel_signature"] == -1
     assert doc["weak"] == [0, 0, 0]
     assert doc["bulk_edge_pair"] == [2, 1]
+
+
+@pytest.mark.parametrize("factor", [("--h1", "h1_example"), ("--h2", "h2_example")],
+                         ids=["h1-alone", "h2-alone"])
+def test_report_refuses_one_factor_without_the_other(tmp_path, capsys, factor):
+    code = run("report", "--builtin", "product_example", "--L", "8", "--W", "8",
+               "--t-grid", "8", "--k-grid", "2", *factor, "--out", str(tmp_path))
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"]["type"] == "ModelError"
+    assert "--h1 and --h2" in err["error"]["message"]
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_report_skips_corner_for_gapless_edge(tmp_path):

@@ -140,7 +140,7 @@ def test_strip_region_counts_and_depths():
         which = "beta" if slope.infinite else "alpha"
         region, depths = strip_region(slope, which, 6, 2)
         assert region.n_sites == 6 * sites_per_cell
-        assert sorted(set(depths.values())) == list(range(6))
+        assert sorted(set(depths.tolist())) == list(range(6))
     with pytest.raises(GeometryError):
         strip_region(Slope.rational(0, 1), "alpha", 0, 1)
 

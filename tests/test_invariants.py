@@ -258,7 +258,7 @@ def test_merged_crossing_rows_ignore_branch_order():
     """Coincident crossings merge into one row whatever their branch order,
     which follows the solver's basis of a degenerate eigenspace."""
     raw = [Crossing(t=0.5, direction=1, weight=w) for w in (0.0, 1.0, 0.9, 1e-3)]
-    raw.append(Crossing(t=2.0, direction=-1, weight=None))
+    raw.append(Crossing(t=2.0, direction=-1, weight=0.5))
     rows = invariants._merge_crossings(raw)
     assert rows == invariants._merge_crossings(raw[::-1])
     assert rows[0].member_weights == (0.0, 1e-3, 0.9, 1.0)
@@ -402,6 +402,29 @@ def test_refine_once_then_refuse(models, monkeypatch, patched, call, what):
     with pytest.raises(ResidualError, match=what + r" not certified at 12 .* at 24 "):
         call(models)
     assert sizes == [12, 24]
+
+
+def test_chern_refines_a_near_singular_link_and_an_inadmissible_flux(monkeypatch):
+    """Both Chern refinement triggers, unpatched: at grid 2 the QWZ model at
+    mass -1 has a near-singular link, at grid 3 the one at mass +1 an
+    inadmissible plaquette flux; each settles at twice its grid."""
+    refused = []
+    field_strength = invariants._c1_field_strength
+
+    def recorded(sym, axes, n):
+        try:
+            return field_strength(sym, axes, n)
+        except invariants._RefineNeeded as exc:
+            refused.append((n, str(exc)))
+            raise
+
+    monkeypatch.setattr(invariants, "_c1_field_strength", recorded)
+    value, _, grid = invariants._chern_detail(qwz_model(-1.0), 2)
+    assert (value, grid) == (1, 4)
+    assert refused == [(2, "near-singular link variable")]
+    refused.clear()
+    assert cl.chern_number(qwz_model(1.0), 3) == 1
+    assert refused == [(3, "inadmissible plaquette flux")]
 
 
 def test_winding_step_certificate_refines_then_refuses(models, monkeypatch):

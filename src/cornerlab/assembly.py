@@ -20,8 +20,6 @@ import scipy.sparse as sp
 from . import geometry, spectra, symbol
 from .errors import GeometryError, ModelError
 
-ASSEMBLY_HERMITICITY_TOL = 1e-12
-
 
 @dataclass
 class AssembledOperator:
@@ -41,7 +39,7 @@ class AssembledOperator:
         if self.pattern is not None:
             return
         herm_defect = abs(self.matrix - self.matrix.conj().T)
-        if herm_defect.nnz and herm_defect.max() > ASSEMBLY_HERMITICITY_TOL:
+        if herm_defect.nnz and herm_defect.max() > symbol.HERMITICITY_TOL:
             raise ModelError("assembled matrix is not Hermitian")
 
     @property
@@ -50,14 +48,6 @@ class AssembledOperator:
 
     def dense(self):
         return self.matrix.toarray()
-
-
-def assemble_bulk(sym, k):
-    """Bloch fiber H(k) wrapped with metadata."""
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    mat = sp.csr_matrix(symbol.evaluate_bloch(sym, k))
-    t = float(k[-1]) if sym.dim == 3 else None
-    return AssembledOperator(mat, t=t)
 
 
 @dataclass
@@ -95,7 +85,7 @@ class OperatorFamily:
             raise ModelError("dim-3 symbol needs a parameter value t")
         angle = self.terms[:, 0] * k_edge - self.terms[:, 1] * (t if self.dim == 3 else 0.0)
         vals = (np.exp(1j * angle)[:, None] * self.coeffs).sum(axis=0)
-        if np.abs(vals - vals[self.transpose].conj()).max(initial=0) > ASSEMBLY_HERMITICITY_TOL:
+        if np.abs(vals - vals[self.transpose].conj()).max(initial=0) > symbol.HERMITICITY_TOL:
             raise ModelError("assembled matrix is not Hermitian")
         return vals
 
@@ -123,8 +113,7 @@ def _family(sym, region, reduce=None):
     entry with its transpose.
     """
     norb, n = region.norb, region.dof
-    offsets = np.array(list(sym.hoppings), dtype=np.int64).reshape(-1, sym.dim)
-    blocks = np.array(list(sym.hoppings.values()), dtype=complex).reshape(-1, norb * norb)
+    offsets, blocks = sym.hopping_offsets, sym.hopping_blocks.reshape(-1, norb * norb)
     targets = np.array(region.sites, dtype=np.int64) + np.pad(
         offsets, ((0, 0), (0, 3 - sym.dim)))[:, None, :2]
     pos, j = reduce(targets) if reduce else (region.site_position(targets), 0)

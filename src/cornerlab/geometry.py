@@ -236,8 +236,6 @@ def wedge_region(pair, L, norb):
     L = lattice_size("L", L)
     box = _box(np.arange(-L, L + 1), np.arange(-L, L + 1))
     inside = in_half_plane(pair.alpha, ALPHA, box) & in_half_plane(pair.beta, BETA, box)
-    if not np.any(inside):
-        raise GeometryError(f"wedge for {pair} is empty at L={L}")
     return LatticeRegion(box[inside], norb)
 
 

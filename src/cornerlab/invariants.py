@@ -457,10 +457,9 @@ def _merge_crossings(raw):
 
 def _parameter_rate(sym, axis):
     """Lipschitz bound on d lambda / d angle for the folded family."""
-    rate = 0.0
-    for off, blk in sym.hoppings.items():
-        rate += abs(off[axis]) * float(np.linalg.norm(blk, 2))
-    return rate
+    norms = np.linalg.norm(sym.hopping_blocks, 2, axis=(1, 2))
+    # Summed in insertion order, as a loop would: the rate enters certificates.
+    return sum((np.abs(sym.hopping_offsets[:, axis]) * norms).tolist(), 0.0)
 
 
 def _offset_grid(n_t):

@@ -39,13 +39,15 @@ def _as_block(norb, raw, where):
         raise ModelError(f"{where}: block shape {blk.shape}, expected ({norb}, {norb})")
     if not np.all(np.isfinite(blk)):
         raise ModelError(f"{where}: block has a non-finite entry")
-    blk = blk.copy()
-    blk.flags.writeable = False
     return blk
 
 
 class HamiltonianSymbol:
-    """Validated, immutable hopping map for a lattice Hamiltonian.
+    """Validated, immutable hopping table for a lattice Hamiltonian.
+
+    It is stored once, in insertion order, as the read-only arrays
+    :attr:`hopping_offsets` ``(n, dim)`` and :attr:`hopping_blocks`
+    ``(n, norb, norb)``; every evaluator reads these two arrays.
 
     Parameters
     ----------
@@ -66,8 +68,7 @@ class HamiltonianSymbol:
             raise ModelError(f"dim must be 1, 2, or 3, got {dim!r}")
         if not _is_integer(norb) or norb < 1:
             raise ModelError(f"norb must be a positive integer, got {norb!r}")
-        self._dim = int(dim)
-        self._norb = int(norb)
+        self._dim, self._norb = int(dim), int(norb)
         stored = {}
         for offset, raw in hoppings.items():
             if not all(_is_integer(c) for c in offset):
@@ -76,9 +77,8 @@ class HamiltonianSymbol:
             if len(off) != dim:
                 raise ModelError(f"offset {offset!r} has length {len(off)}, expected {dim}")
             blk = _as_block(norb, raw, f"offset {off}")
-            if np.max(np.abs(blk)) == 0.0:
-                continue
-            stored[off] = blk
+            if np.max(np.abs(blk)) != 0.0:
+                stored[off] = blk
         for off, blk in stored.items():
             minus = tuple(-c for c in off)
             partner = stored.get(minus)
@@ -86,7 +86,9 @@ class HamiltonianSymbol:
                 raise ModelError(f"offset {off} has no Hermitian partner at {minus}")
             if np.max(np.abs(partner - blk.conj().T)) > HERMITICITY_TOL:
                 raise ModelError(f"blocks at {off} and {minus} are not Hermitian partners")
-        self._hoppings = stored
+        self._offsets = np.array(list(stored), dtype=np.int64).reshape(-1, self._dim)
+        self._blocks = np.array(list(stored.values()), dtype=complex).reshape(-1, norb, norb)
+        self._offsets.flags.writeable = self._blocks.flags.writeable = False
 
     @property
     def dim(self):
@@ -97,43 +99,44 @@ class HamiltonianSymbol:
         return self._norb
 
     @property
+    def hopping_offsets(self):
+        """Read-only ``(n, dim)`` int64 offsets, in insertion order."""
+        return self._offsets
+
+    @property
+    def hopping_blocks(self):
+        """Read-only ``(n, norb, norb)`` blocks, row i at ``hopping_offsets[i]``."""
+        return self._blocks
+
+    @property
     def hoppings(self):
-        """Hopping map as a plain dict of read-only arrays (treat as frozen)."""
-        return dict(self._hoppings)
+        """Hopping map as a fresh dict of read-only blocks, in insertion order."""
+        return dict(zip(map(tuple, self._offsets.tolist()), self._blocks))
 
     def offsets(self):
-        return sorted(self._hoppings)
+        return sorted(map(tuple, self._offsets.tolist()))
 
     def block(self, offset):
         """Hopping block at ``offset`` (zero matrix if absent)."""
-        off = tuple(int(c) for c in offset)
-        blk = self._hoppings.get(off)
-        if blk is None:
-            return np.zeros((self._norb, self._norb), dtype=complex)
-        return blk
+        blk = self.hoppings.get(tuple(int(c) for c in offset))
+        return np.zeros((self._norb, self._norb), dtype=complex) if blk is None else blk
 
     def hopping_range(self):
         """Per-axis maximum |offset component| over all hoppings."""
-        if not self._hoppings:
-            return (0,) * self._dim
-        return tuple(
-            max(abs(off[ax]) for off in self._hoppings) for ax in range(self._dim)
-        )
+        return tuple(np.abs(self._offsets).max(axis=0, initial=0).tolist())
 
     def __eq__(self, other):
         if not isinstance(other, HamiltonianSymbol):
             return NotImplemented
         if (self._dim, self._norb) != (other._dim, other._norb):
             return False
-        if set(self._hoppings) != set(other._hoppings):
-            return False
-        return all(np.array_equal(self._hoppings[o], other._hoppings[o]) for o in self._hoppings)
+        mine, theirs = self.hoppings, other.hoppings
+        return mine.keys() == theirs.keys() and all(
+            np.array_equal(blk, theirs[off]) for off, blk in mine.items())
 
     def __repr__(self):
-        return (
-            f"HamiltonianSymbol(dim={self._dim}, norb={self._norb}, "
-            f"n_hoppings={len(self._hoppings)})"
-        )
+        return (f"HamiltonianSymbol(dim={self._dim}, norb={self._norb}, "
+                f"n_hoppings={len(self._offsets)})")
 
 
 @dataclass(frozen=True)
@@ -188,11 +191,8 @@ def evaluate_bloch(sym, k):
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.shape[-1] != sym.dim:
         raise ValueError(f"momentum has shape {k.shape}, symbol has dim {sym.dim}")
-    hoppings = sym.hoppings
-    offsets = np.array(list(hoppings), dtype=float).reshape(-1, sym.dim)
-    blocks = np.array(list(hoppings.values()), dtype=complex).reshape(
-        -1, sym.norb, sym.norb)
-    out = np.einsum("...r,rij->...ij", np.exp(1j * (k @ offsets.T)), blocks)
+    out = np.einsum("...r,rij->...ij", np.exp(1j * (k @ sym.hopping_offsets.T)),
+                    sym.hopping_blocks)
     adjoint = out.conj().swapaxes(-1, -2)
     if np.max(np.abs(out - adjoint)) > HERMITICITY_TOL:
         raise ModelError("Bloch matrix failed the Hermiticity check")
@@ -225,11 +225,8 @@ def check_chiral(sym, grading):
         raise ModelError(
             f"grading acts on {grading.norb} orbitals, symbol has {sym.norb}"
         )
-    pi = grading.matrix
-    for blk in sym.hoppings.values():
-        if np.max(np.abs(pi @ blk @ pi + blk)) > 1e-10:
-            return False
-    return True
+    pi, blocks = grading.matrix, sym.hopping_blocks
+    return bool(np.abs(pi @ blocks @ pi + blocks).max(initial=0.0) <= 1e-10)
 
 
 def product_hamiltonian(h1, h2, grading):

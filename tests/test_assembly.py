@@ -9,7 +9,6 @@ import pytest
 
 from cornerlab import GeometryError, ModelError, assembly, geometry, symbol
 from cornerlab.assembly import (
-    assemble_bulk,
     assemble_corner,
     assemble_edge_strip,
     assemble_halfline,
@@ -35,19 +34,9 @@ def test_every_assembler_yields_hermitian_matrices():
         ops.append(assemble_edge_strip(
             cat["h1_example"].symbol, Slope.plus_inf(), "beta", 9, k_edge=t))
     ops.append(assemble_halfline(cat["h2_double_shift"].symbol, 12))
-    ops.append(assemble_bulk(cat["product_example"].symbol, (0.3, -0.7, 1.1)))
     for op in ops:
         dense = op.dense()
         assert np.max(np.abs(dense - dense.conj().T)) <= 1e-12
-
-
-def test_bulk_fiber_equals_bloch_matrix():
-    sym = qwz_model(-1.0)
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        k = rng.uniform(-np.pi, np.pi, size=2)
-        op = assemble_bulk(sym, k)
-        assert np.allclose(op.dense(), symbol.evaluate_bloch(sym, k), atol=1e-14)
 
 
 def test_halfline_nesting():

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from cornerlab import EigensolverError, ResidualError, TrackingError, invariants
 from cornerlab.cli import _build_parser, main
 from cornerlab.symbol import builtin_models, save_model
 
@@ -115,6 +116,29 @@ def test_unknown_model_exits_2(tmp_path, capsys):
     assert run("bulk-spectrum", "--model", str(bad), "--out", str(tmp_path)) == 2
     err = json.loads(capsys.readouterr().out.strip())
     assert err["error"]["type"] == "ModelError"
+
+
+def test_sweep_axis_out_of_range_exits_2(tmp_path, capsys):
+    assert run("bulk-spectrum", "--builtin", "h1_example", "--sweep-axis", "5",
+               "--out", str(tmp_path)) == 2
+    err = json.loads(capsys.readouterr().out.strip())
+    assert err["error"] == {"type": "ModelError",
+                            "message": "sweep axis 5 out of range for dim 2"}
+
+
+@pytest.mark.parametrize("error", [EigensolverError, TrackingError, ResidualError])
+def test_numerical_errors_exit_3(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("solver trouble")
+
+    monkeypatch.setattr(invariants, "corner_spectral_flow", fail)
+    assert run("corner-flow", "--builtin", "product_example",
+               "--out", str(tmp_path)) == 3
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": {"type": error.__name__, "message": "solver trouble"}}
+    assert not (tmp_path / "corner_flow.json").exists()
 
 
 def test_non_finite_model_file_exits_2(tmp_path, capsys):

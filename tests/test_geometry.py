@@ -131,6 +131,23 @@ def test_region_validation():
         LatticeRegion([(0, 0), (0, 0)], 1)
     with pytest.raises(GeometryError):
         LatticeRegion([(0, 0)], 0)
+    with pytest.raises(GeometryError, match=r"^sites must be \(m, n\) pairs"):
+        LatticeRegion([[0, 0, 0]], 1)
+
+
+def test_minus_inf_is_only_an_alpha_slope():
+    with pytest.raises(GeometryError, match="^-inf is only valid as an alpha slope$"):
+        strip_depth(Slope.minus_inf(), "beta", (0, 0))
+
+
+@pytest.mark.parametrize("pair", [
+    SlopePair(Slope.rational(0, 1), Slope.rational(1, 1000)),
+    SlopePair(Slope.rational(999, 1000), Slope.rational(1, 1)),
+    SlopePair(Slope.minus_inf(), Slope.rational(-1000, 1)),
+])
+def test_narrow_wedge_contains_its_vertex(pair):
+    """The vertex has depth 0 on both sides, so no wedge is ever empty."""
+    assert (0, 0) in wedge_region(pair, 1, 1).sites
 
 
 def test_strip_region_counts_and_depths():

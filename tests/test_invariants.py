@@ -68,6 +68,22 @@ def test_winding_rejects_bad_grading(models):
         cl.kernel_signature(non_chiral, ChiralGrading(sz))
 
 
+def test_factor_invariants_refuse_mismatched_inputs(models):
+    three = HamiltonianSymbol(1, 3, {(0,): np.zeros((3, 3))})
+    with pytest.raises(ModelError, match="^grading blocks have sizes 2 and 1"):
+        cl.winding_number(three, ChiralGrading(np.diag([1.0, 1.0, -1.0])))
+    with pytest.raises(ModelError, match="needs a dim-1 symbol, got dim 2$"):
+        cl.kernel_signature(models["h1_example"].symbol, ChiralGrading(sz))
+
+
+def test_chern_refuses_a_band_crossing_the_fermi_level():
+    """The one band 0.5 + cos(k_x) changes sign on the grid."""
+    half = np.array([[0.5]])
+    band = HamiltonianSymbol(2, 1, {(0, 0): half, (1, 0): half, (-1, 0): half})
+    with pytest.raises(GapClosedError, match="^Fermi rank is not constant across the grid$"):
+        cl.chern_number(band, 4)
+
+
 def test_kernel_signature_values_and_w_independence(models):
     g = models["h2_example"].grading
     h2 = models["h2_example"].symbol

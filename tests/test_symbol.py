@@ -74,6 +74,60 @@ def test_bad_dim_and_norb():
         HamiltonianSymbol(1.0, 2, {(0,): sz})
 
 
+def test_equality_ignores_insertion_order():
+    blocks = {(1, 0): 0.5 * sx, (-1, 0): 0.5 * sx, (0, 0): sz}
+    forward = HamiltonianSymbol(2, 2, blocks)
+    backward = HamiltonianSymbol(2, 2, dict(reversed(list(blocks.items()))))
+    assert forward == backward
+    assert qwz_model(-1.0) == qwz_model(-1.0)
+
+
+def test_equality_refusals():
+    sym = HamiltonianSymbol(1, 2, {(0,): sz, (1,): 0.5 * sx, (-1,): 0.5 * sx})
+    assert sym != "not a symbol"
+    assert sym.__eq__(3) is NotImplemented
+    assert sym != HamiltonianSymbol(2, 2, {(0, 0): sz})
+    assert sym != HamiltonianSymbol(1, 1, {(0,): [[1.0]]})
+    assert sym != HamiltonianSymbol(1, 2, {(0,): sz, (2,): 0.5 * sx, (-2,): 0.5 * sx})
+    assert sym != HamiltonianSymbol(1, 2, {(0,): sz, (1,): 0.5 * sz, (-1,): 0.5 * sz})
+
+
+def test_empty_symbol():
+    sym = HamiltonianSymbol(2, 2, {})
+    assert sym.hopping_range() == (0, 0)
+    assert sym.offsets() == []
+    assert np.array_equal(evaluate_bloch(sym, [0.3, -1.2]), np.zeros((2, 2)))
+    assert repr(sym) == "HamiltonianSymbol(dim=2, norb=2, n_hoppings=0)"
+
+
+def test_absent_block_is_zero_and_hoppings_are_read_only():
+    sym = qwz_model(-1.0)
+    assert np.array_equal(sym.block((3, 0)), np.zeros((2, 2)))
+    assert sym.hopping_range() == (1, 1)
+    for blk in sym.hoppings.values():
+        assert not blk.flags.writeable
+        with pytest.raises(ValueError):
+            blk[0, 0] = 1.0
+
+
+def test_block_shape_and_offset_type_refused():
+    with pytest.raises(ModelError, match=r"^offset \(0,\): block shape \(3, 3\), expected \(2, 2\)$"):
+        HamiltonianSymbol(1, 2, {(0,): np.eye(3)})
+    with pytest.raises(ModelError, match=r"^offset \(0\.5,\) has a non-integer component$"):
+        HamiltonianSymbol(1, 2, {(0.5,): np.eye(2)})
+
+
+def test_grading_must_be_square():
+    with pytest.raises(ModelError, match="^grading must be a square matrix$"):
+        ChiralGrading(np.ones((2, 3)))
+
+
+def test_product_needs_a_dim_1_chiral_factor():
+    h1 = qwz_model(-1.0)
+    with pytest.raises(ModelError, match="^h2 must have dim 1, got 2$"):
+        product_hamiltonian(h1, h1, ChiralGrading(sz))
+
+
 def test_evaluate_bloch_matches_explicit_sum():
     rng = np.random.default_rng(3)
     sym = qwz_model(-1.0)
@@ -257,6 +311,19 @@ def test_load_model_rejects_garbage(tmp_path):
         bad.write_text(json.dumps(doc))
         with pytest.raises(ModelError):
             load_model(bad)
+
+
+def test_load_model_refuses_unpaired_block_and_repeated_offset(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 1, "norb": 2, "hoppings": [
+        {"offset": [0], "block": [[1.0, 0.0], [0.0, 1.0]]}]}))
+    with pytest.raises(ModelError, match=r"expected shape \(2, 2, 2\), got \(2, 2\)$"):
+        load_model(bad)
+    block = [[[1.0, 0.0]]]
+    bad.write_text(json.dumps({"dim": 1, "norb": 1, "hoppings": [
+        {"offset": [0], "block": block}, {"offset": [0], "block": block}]}))
+    with pytest.raises(ModelError, match=r"duplicate offset \(0,\)$"):
+        load_model(bad)
 
 
 def test_builtin_catalog():

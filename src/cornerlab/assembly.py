@@ -80,25 +80,31 @@ class OperatorFamily:
     band_index: np.ndarray | None = None
     bandwidth: int = 0
 
-    def _checked_values(self, k_edge, t):
+    def _phases(self, k_edge, t):
+        """``exp(i (j k_edge - l t))`` per term, on a leading axis per value of an array ``t``."""
         if self.dim == 3 and t is None:
             raise ModelError("dim-3 symbol needs a parameter value t")
-        angle = self.terms[:, 0] * k_edge - self.terms[:, 1] * (t if self.dim == 3 else 0.0)
-        vals = (np.exp(1j * angle)[:, None] * self.coeffs).sum(axis=0)
-        if np.abs(vals - vals[self.transpose].conj()).max(initial=0) > symbol.HERMITICITY_TOL:
+        lt = np.multiply.outer(t if self.dim == 3 else 0.0, self.terms[:, 1])
+        return np.exp(1j * (self.terms[:, 0] * k_edge - lt))
+
+    def _checked(self, vals):
+        if np.abs(vals - vals[..., self.transpose].conj()).max(initial=0) > symbol.HERMITICITY_TOL:
             raise ModelError("assembled matrix is not Hermitian")
         return vals
 
     def banded(self, k_edge, t=None):
-        """Lower band storage ``band[r - c, c] = A[r, c]`` of the depth-ordered strip."""
-        band = np.zeros((self.bandwidth + 1, self.region.dof), dtype=complex)
-        band.flat[self.band_index] = self._checked_values(k_edge, t)[self.lower]
+        """Lower band storage ``band[..., r - c, c] = A[r, c]`` of the depth-ordered
+        strip; a 1-D array ``t`` gives one band per value, stacked on axis 0."""
+        vals = self._checked(self._phases(k_edge, t) @ self.coeffs)
+        band = np.zeros(vals.shape[:-1] + (self.bandwidth + 1, self.region.dof), dtype=complex)
+        band.reshape(vals.shape[:-1] + (-1,))[..., self.band_index] = vals[..., self.lower]
         return band
 
     def operator(self, k_edge=None, t=None):
         """CSC on ``pattern``; ``k_edge`` is None off a strip."""
-        mat = sp.csc_matrix((self._checked_values(k_edge or 0.0, t), self.pattern.indices,
-                             self.pattern.indptr), shape=(self.region.dof,) * 2)
+        vals = self._checked((self._phases(k_edge or 0.0, t)[:, None] * self.coeffs).sum(axis=0))
+        mat = sp.csc_matrix((vals, self.pattern.indices, self.pattern.indptr),
+                            shape=(self.region.dof,) * 2)
         return AssembledOperator(mat, self.region, t if t is None else float(t), self.pattern)
 
 

@@ -21,8 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from . import assembly, geometry, spectra
-from .errors import (EigensolverError, GapClosedError, ModelError, ResidualError,
-                     TrackingError)
+from .errors import GapClosedError, ModelError, ResidualError, TrackingError
 from .symbol import check_chiral, evaluate_bloch, partial_bloch  # noqa: F401 (traced by name)
 
 GAP_FLOOR = 1e-8
@@ -300,31 +299,66 @@ def kernel_signature(sym, grading, W=40):
 # ---------------------------------------------------------------------------
 # edge gap scan
 
-def _strip_lower_bound(band):
-    """Lower bound on every |eigenvalue| a sharpened strip can report, and its margin.
+def _band_square(bands):
+    """``(squares, rho)`` of Hermitian strips in lower band storage of bandwidth b.
 
-    ``band`` is a Hermitian strip in LAPACK lower band storage
-    (:meth:`assembly.OperatorFamily.banded`), reduced straight to tridiagonal
-    form for its eigenvalues only.  The margin, 1e-10 times the max absolute
-    row sum (read off the band, where it equals the dense one), covers the
-    rounding gap to ``eigh`` and to sharpening's Rayleigh quotients, which
-    stay in their cluster's hull.  The bound is the smallest |eigenvalue|
-    less the margin, or 0 when a cluster straddles 0.
+    ``bands[..., d, c] = A[c + d, c]`` (:meth:`assembly.OperatorFamily.banded`,
+    any leading axes) with the diagonal read as real, as LAPACK reads it.
+    ``squares`` holds A² = A Aᴴ in the same storage with bandwidth 2b, and
+    ``rho`` the max absolute row sum of each A.  Row r of A is gathered as its
+    window ``A[r, r - b .. r + b]``, the upper half by Hermitian symmetry, and
+    ``A²[r, r - d]`` is the dot product of the windows of rows r and r - d on
+    their common columns.  No dense matrix is formed: memory and work are
+    O(dof · b) and O(dof · b²) per strip.
     """
-    try:
-        vals = scipy.linalg.eigvals_banded(band, lower=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise EigensolverError(f"banded eigensolver failed: {exc}") from exc
-    mag = np.abs(band)
-    rows = mag.sum(axis=0)
-    for d in range(1, band.shape[0]):
-        rows[d:] += mag[d, :-d]
-    margin = 1e-10 * float(rows.max())
-    split = np.searchsorted(vals, 0.0)
-    if 0 < split < vals.size and (
-            vals[split] - vals[split - 1] <= spectra.DEGENERACY_CLUSTER_TOL + margin):
-        return 0.0, margin
-    return float(np.min(np.abs(vals))) - margin, margin
+    b, n = bands.shape[-2] - 1, bands.shape[-1]
+    w = 2 * b + 1
+    rows = np.zeros(bands.shape[:-2] + (n, w), dtype=complex)
+    rows[..., b] = bands[..., 0, :].real
+    for d in range(1, b + 1):
+        rows[..., d:, b - d] = bands[..., d, :n - d]
+        rows[..., :n - d, b + d] = bands[..., d, :n - d].conj()
+    squares = np.zeros(bands.shape[:-2] + (w, n), dtype=complex)
+    for d in range(min(w, n)):
+        squares[..., d, :n - d] = np.vecdot(rows[..., :n - d, d:], rows[..., d:, :w - d])
+    return squares, np.abs(rows).sum(axis=-1).max(axis=-1)
+
+
+def _clears(square, rho, g):
+    """Whether a banded Cholesky proves every |eigenvalue| of A above ``g``.
+
+    ``square`` and ``rho`` are one strip's A² and max absolute row sum from
+    :func:`_band_square`, n its dimension and w = 2b its bandwidth.  LAPACK's
+    ``zpbtrf`` factors A² - (g² + η) I with
+
+        η = (n + 2)(w + 2) ε (ρ² + g²),   ε the machine epsilon.
+
+    A success proves λ_min(A²) > g², so min |λ(A)| > g; a failure proves
+    nothing.  η covers every rounding error between the exact A² and the
+    computed factor R (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed. 2002; u = ε/2, γ_m = mu / (1 - mu)):
+
+    - forming A²: each entry is an inner product of at most w + 1 complex
+      terms, so it errs by at most √2 γ_{w+2} ≤ (w + 2) ε times the same
+      entry of |A|² (§3.5, with complex products as in Lemma 3.5), and
+      ‖|A|²‖₂ ≤ ρ², since |A| is symmetric with max row sum ρ;
+    - the shift: each diagonal entry errs by at most ε (ρ² + g² + η) / 2,
+      and rounding g² + η by at most ε (g² + η);
+    - the factorization: if it runs to completion, RᴴR = M + ΔM for the
+      shifted matrix M with |ΔM| ≤ γ_{w+1} |Rᴴ| |R| (Thm 10.3; inner
+      products of at most w + 1 terms in a band).  By Cauchy-Schwarz each
+      entry of |Rᴴ| |R| is at most the largest diagonal entry of RᴴR, about
+      max_i A²_ii ≤ ρ², so ‖ΔM‖₂ ≤ n (w + 2) ε ρ².
+
+    Their sum is below η, and RᴴR is positive semidefinite, so λ_min(A²)
+    exceeds g².  ``zpbtrf`` does not stop at a NaN pivot, so a factor with a
+    non-finite pivot (from a NaN or an overflow anywhere) counts as a failure.
+    """
+    n, w = square.shape[-1], square.shape[-2] - 1
+    shifted = np.array(square, order="F")
+    shifted[0] -= g * g + (n + 2) * (w + 2) * np.finfo(float).eps * (rho * rho + g * g)
+    factor, info = scipy.linalg.lapack.zpbtrf(shifted, lower=1, overwrite_ab=1)
+    return info == 0 and bool(np.isfinite(factor[0]).all())
 
 
 def _clusters_in_reach(sl, best, margin):
@@ -334,8 +368,7 @@ def _clusters_in_reach(sl, best, margin):
     clusters left out hold only values beyond ``best`` by more than the
     margin, and sharpening keeps each value in its cluster's hull, so they
     cannot lower ``best``.  The kept clusters form one contiguous run, which
-    is empty when a cluster the screen saw straddling 0 came apart in ``eigh``
-    into clusters beyond the reach.
+    is empty when a strip whose clearance failed has no value within reach.
     """
     vals = sl.eigenvalues
     splits = spectra.cluster_splits(vals)
@@ -366,17 +399,24 @@ def edge_gap_scan(sym, pair, W, grid=(16, 16)):
     not contaminate the minimum.  Returns ``(min_alpha, min_beta)``; a
     small value is a valid answer (the gap assumption fails), never an error.
 
-    Each side evaluates one :func:`assembly.strip_family` and screens every
-    strip with eigenvalues only, from its lower band storage in strip-depth
-    order (``_strip_lower_bound``): a hop changes the depth by at most the
-    hopping range, so the band is set by that range and the supercell width
-    q, not by W.  Strips then take the full path (``eigh`` with residual
-    check, sharpening, weights) in ascending bound until the bound reaches
-    the running minimum ``best``.  Once ``best`` is finite, only the whole
-    degenerate clusters whose hull meets (-best - m, best + m), m the
-    screen's margin, are sharpened and weighed; the rest cannot lower it.
-    Skipped strips are not residual-checked; the minima always come from
-    checked pairs.
+    Each side evaluates one :func:`assembly.strip_family` and visits its
+    strips in grid order, C order over ``(k_edge, t)``.  A strip takes the
+    full path (``eigh`` with residual check, sharpening, weights) while no
+    minimum ``best`` is known, or unless :func:`_clears` proves, by a banded
+    Cholesky of its square, that every |eigenvalue| exceeds
+    ``g = max(best, DEGENERACY_CLUSTER_TOL / 2) + m``.  The margin m, 1e-10
+    times the max absolute row sum, covers the rounding gap to ``eigh`` and
+    to sharpening's Rayleigh quotients, which stay in their cluster's hull.
+    The floor of g keeps every strip with a cluster straddling 0 on the full
+    path: its eigenvalues either side of 0 lie within the cluster tolerance
+    of each other, and sharpening can rotate them to values near 0.  The
+    squares are formed from lower band storage in strip-depth order, one
+    ``k_edge`` row at a time: a hop changes the depth by at most the hopping
+    range, so the band is set by that range and the supercell width q, not
+    by W.  On the full path with ``best`` finite, only the whole degenerate
+    clusters whose hull meets (-best - m, best + m) are sharpened and
+    weighed; the rest cannot lower it.  Skipped strips are not
+    residual-checked; the minima always come from checked pairs.
     """
     if sym.dim != 3:
         raise ModelError(f"edge gap scan needs a dim-3 symbol, got dim {sym.dim}")
@@ -387,22 +427,22 @@ def edge_gap_scan(sym, pair, W, grid=(16, 16)):
     for which, slope in ((geometry.ALPHA, pair.alpha), (geometry.BETA, pair.beta)):
         family = assembly.strip_family(sym, slope, which, W)
         near = _near_wall(slope, which, family.region, W)
-        screen = sorted(
-            (_strip_lower_bound(family.banded(k_edge, t)) + (k_edge, t)
-             for k_edge in k_vals for t in t_vals),
-            key=lambda row: row[0])
         best = fallback = math.inf
-        for bound, margin, k_edge, t in screen:
-            if bound >= best:
-                break
-            op = family.operator(k_edge, t)
-            sl = _clusters_in_reach(spectra.diagonalize(op), best, margin)
-            sl = spectra.sharpen_degeneracies(sl, near, matrix=op.matrix)
-            absvals = np.abs(sl.eigenvalues)
-            fallback = min(fallback, float(np.min(absvals, initial=math.inf)))
-            eligible = spectra.all_weights(sl, near) >= NEAR_WALL_WEIGHT_MIN
-            if np.any(eligible):
-                best = min(best, float(np.min(absvals[eligible])))
+        for k_edge in k_vals:
+            squares, rhos = _band_square(family.banded(k_edge, t_vals))
+            for t, square, rho in zip(t_vals, squares, rhos):
+                margin = 1e-10 * float(rho)
+                g = max(best, spectra.DEGENERACY_CLUSTER_TOL / 2) + margin
+                if best < math.inf and _clears(square, rho, g):
+                    continue
+                op = family.operator(k_edge, t)
+                sl = _clusters_in_reach(spectra.diagonalize(op), best, margin)
+                sl = spectra.sharpen_degeneracies(sl, near, matrix=op.matrix)
+                absvals = np.abs(sl.eigenvalues)
+                fallback = min(fallback, float(np.min(absvals, initial=math.inf)))
+                eligible = spectra.all_weights(sl, near) >= NEAR_WALL_WEIGHT_MIN
+                if np.any(eligible):
+                    best = min(best, float(np.min(absvals[eligible])))
         # A strip whose states all hug the far wall (or spread evenly) gives
         # no attributable minimum; the unfiltered spectrum still bounds the
         # edge gap from below, so report that instead of infinity.

@@ -71,6 +71,8 @@ class HamiltonianSymbol:
         self._dim, self._norb = int(dim), int(norb)
         stored = {}
         for offset, raw in hoppings.items():
+            if not np.iterable(offset):
+                raise ModelError(f"offset {offset!r} is not a tuple of integers")
             if not all(_is_integer(c) for c in offset):
                 raise ModelError(f"offset {offset!r} has a non-integer component")
             off = tuple(int(c) for c in offset)

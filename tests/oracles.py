@@ -258,13 +258,13 @@ def oracle_strip_matrix(sym, slope, which, W, k_edge, t=None):
 
 
 def oracle_edge_gap_scan(sym, pair, W, grid):
-    """``edge_gap_scan`` without its eigenvalue screen: every strip of the
+    """``edge_gap_scan`` without skipping a strip: every strip of the
     ``grid = (nk, nt)`` product grid goes through dense ``eigh``, degeneracy
     sharpening and near-wall weights, in grid order.
 
-    This is the reference the screened scan must reproduce exactly; unlike
-    the rest of this module it reuses the package's assembler and spectral
-    routines, since what it checks is which strips the screen skips.
+    This is the reference the scan must reproduce exactly; unlike the rest
+    of this module it reuses the package's assembler and spectral routines,
+    since what it checks is which strips the scan skips.
     """
     from cornerlab import assembly, geometry, spectra
     from cornerlab.invariants import NEAR_WALL_WEIGHT_MIN

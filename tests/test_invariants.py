@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cornerlab as cl
 from cornerlab import (
-    EigensolverError,
     GapClosedError,
     GeometryError,
     ModelError,
@@ -189,38 +190,152 @@ def test_report_document_has_exactly_the_report_fields(models):
     assert doc["weak"] == [0, 0, 0] and doc["bulk_edge_pair"] == [2, 1]
 
 
-def test_strip_bound_covers_sharpened_cluster_straddling_zero():
+def _dense_of_band(band):
+    """The Hermitian matrix whose lower band storage is ``band`` (real diagonal)."""
+    n = band.shape[-1]
+    h = np.diag(band[0].real).astype(complex)
+    for d in range(1, band.shape[0]):
+        h[np.arange(d, n), np.arange(n - d)] = band[d, :n - d]
+        h[np.arange(n - d), np.arange(d, n)] = band[d, :n - d].conj()
+    return h
+
+
+@pytest.mark.parametrize("text, which", [("0", "alpha"), ("inf", "beta"), ("1/2", "alpha"),
+                                         ("-3/2", "beta")])
+def test_band_square_is_the_dense_square(text, which):
+    """Each square of a row of strips is A @ A in depth order, within
+    1e-13 rho^2, and rho is the dense max absolute row sum."""
+    sym = builtin_models()["product_example"].symbol
+    slope = Slope.parse(text)
+    family = assembly.strip_family(sym, slope, which, 8)
+    ts = np.array([0.0, 2.1, 4.4])
+    squares, rhos = invariants._band_square(family.banded(0.7, ts))
+    sites = np.array(family.region.sites)
+    order = np.argsort(geometry.strip_depth(slope, which, sites), kind="stable")
+    dof = (order[:, None] * sym.norb + np.arange(sym.norb)).ravel()
+    b = family.bandwidth
+    assert squares.shape == (3, 2 * b + 1, family.region.dof)
+    for t, square, rho in zip(ts, squares, rhos):
+        dense = family.operator(0.7, t).dense()
+        a = dense[np.ix_(dof, dof)]
+        want = a @ a
+        assert not np.any(np.tril(want, -2 * b - 1))
+        got = _dense_of_band(square)
+        assert np.max(np.abs(got - want)) <= 1e-13 * rho ** 2
+        assert rho == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-12)
+
+
+@st.composite
+def _hermitian_bands(draw):
+    b = draw(st.integers(1, 6))
+    n = draw(st.integers(b + 1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    band = rng.normal(size=(b + 1, n)) + 1j * rng.normal(size=(b + 1, n))
+    band[0] = band[0].real
+    for d in range(1, b + 1):
+        band[d, n - d:] = 0
+    return band * 10.0 ** draw(st.integers(-4, 4))
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(band=_hermitian_bands(), above=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.5]))
+def test_clearance_never_skips_a_band_with_an_eigenvalue_below_g(band, above):
+    """g at the smallest |eigenvalue| or above it, by down to 1e-12
+    relative: the clearance must fail, whatever the size or scale of the
+    band.  At g = |eigenvalue| only the allowance eta keeps it failing."""
+    smallest = np.min(np.abs(np.linalg.eigvalsh(_dense_of_band(band))))
+    square, rho = invariants._band_square(band)
+    assert not invariants._clears(square, rho, smallest * (1 + above))
+
+
+@_PROPERTY
+@given(band=_hermitian_bands())
+def test_clearance_skips_a_band_whose_eigenvalues_clear_g(band):
+    """min |eigenvalue| >= 1.001 g is proved, unless the band is so near
+    singular (below 1e-4 rho) that rounding could hide the difference."""
+    square, rho = invariants._band_square(band)
+    smallest = np.min(np.abs(np.linalg.eigvalsh(_dense_of_band(band))))
+    assume(smallest >= 1e-4 * rho)
+    assert invariants._clears(square, rho, smallest / 1.001)
+
+
+def test_edge_scan_margin_is_the_dense_row_sum(monkeypatch):
+    """Each full-path strip is cut to its clusters in reach with the margin
+    1e-10 times the max absolute row sum of the dense strip."""
+    row_sums, margins = [], []
+    diagonalize, in_reach = spectra.diagonalize, invariants._clusters_in_reach
+
+    def recorded(op):
+        row_sums.append(np.abs(op.dense()).sum(axis=1).max())
+        return diagonalize(op)
+
+    def recorded_reach(sl, best, margin):
+        margins.append(margin)
+        return in_reach(sl, best, margin)
+
+    monkeypatch.setattr(spectra, "diagonalize", recorded)
+    monkeypatch.setattr(invariants, "_clusters_in_reach", recorded_reach)
+    cl.edge_gap_scan(builtin_models()["product_example"].symbol,
+                     SlopePair(Slope.rational(1, 2), Slope.plus_inf()), 8, (2, 2))
+    assert len(margins) == len(row_sums) >= 2
+    assert margins == pytest.approx([1e-10 * r for r in row_sums], rel=1e-12)
+
+
+def test_clearance_keeps_a_strip_with_a_cluster_straddling_zero(models, monkeypatch):
     """Sharpening rotates a cluster that straddles 0 to Rayleigh values
-    below its smallest |eigenvalue|, so the screen bounds such a strip by 0;
-    a strip without one is bounded by its smallest |eigenvalue| less margin."""
+    below its smallest |eigenvalue|, so such a strip must take the full path
+    however small the running minimum is: g never drops below half the
+    cluster tolerance, and no strip with such a cluster clears that."""
     region = geometry.LatticeRegion([(0, 0), (1, 0), (2, 0)], 1)
     h = np.array([[0, 4e-5, 0], [4e-5, 0, 0], [0, 0, 1.0]], complex)
     op = AssembledOperator(sp.csr_matrix(h), region=region)
     sl = spectra.sharpen_degeneracies(
         spectra.diagonalize(op), lambda site: site[0] == 0, matrix=op.matrix)
     assert np.min(np.abs(sl.eigenvalues)) < 1e-12
-    band = np.array([[0, 0, 1.0], [4e-5, 0, 0]], complex)
-    assert invariants._strip_lower_bound(band) == (0.0, 1e-10)
-    gapped = np.array([[-0.3, 0.2, 0.2 + 5e-5, 2.0]], complex)
-    bound, margin = invariants._strip_lower_bound(gapped)
-    assert bound == pytest.approx(0.2 - 2e-10, abs=1e-15)
-    assert margin == pytest.approx(2e-10, abs=1e-20)
+    square, rho = invariants._band_square(np.array([[0, 0, 1.0], [4e-5, 0, 0]], complex))
+    assert invariants._clears(square, rho, 1e-9)
+    floor = spectra.DEGENERACY_CLUSTER_TOL / 2
+    assert not invariants._clears(square, rho, floor + 1e-10 * rho)
+
+    gs, clears = [], invariants._clears
+
+    def recorded(square, rho, g):
+        gs.append(g)
+        return clears(square, rho, g)
+
+    monkeypatch.setattr(invariants, "_clears", recorded)
+    gap_a, _ = cl.edge_gap_scan(models["h1_stacked"].symbol, PAIR, 16, (6, 6))
+    assert gap_a < 1e-12 and gs and min(gs) > floor
 
 
-def test_strip_bound_margin_is_the_dense_row_sum():
-    """The margin reads the max absolute row sum of the Hermitian matrix off
-    its lower band storage, the upper triangle included."""
-    family = assembly.strip_family(
-        builtin_models()["product_example"].symbol, Slope.rational(1, 2), "beta", 8)
-    band = family.banded(0.7, 2.1)
-    dense = family.operator(0.7, 2.1).dense()
-    _, margin = invariants._strip_lower_bound(band)
-    assert margin == pytest.approx(1e-10 * np.abs(dense).sum(axis=1).max(), rel=1e-12)
+def test_clearance_refuses_a_band_with_nan():
+    """A NaN, an infinity or an overflow fails the clearance, so such a
+    strip would take the full path; symbols with a NaN are refused at load (see
+    test_symbol.py::test_non_finite_entries_rejected), so none reaches a scan."""
+    for bad in (np.nan, np.inf, 1e200):
+        for where in ((0, 0), (1, 1)):
+            band = np.array([[3.0, 1.0, 2.0, 3.0], [0.5, 0.5, 0.5, 0]], complex)
+            band[where] = bad
+            square, rho = invariants._band_square(band)
+            assert not invariants._clears(square, rho, 0.5)
 
 
-def test_strip_bound_refuses_a_band_the_solver_cannot_take():
-    with pytest.raises(EigensolverError, match="banded eigensolver"):
-        invariants._strip_lower_bound(np.array([[np.nan, 1.0, 2.0]], complex))
+@pytest.mark.parametrize("seed", [201, 202, 203])
+def test_edge_scan_takes_few_full_paths(models, monkeypatch, seed):
+    """The clearance passes for most strips of a gapped product: at most 12
+    of the 72 strips of a W=40, 6 by 6 scan are diagonalized.  A check that
+    never passes keeps every minimum and only shows up here."""
+    h2 = models["h2_example"]
+    h1 = symbol.perturb_onsite(models["h1_example"].symbol, 0.1, seed)
+    sym = symbol.product_hamiltonian(h1, h2.symbol, h2.grading)
+    calls, diagonalize = [], spectra.diagonalize
+    monkeypatch.setattr(spectra, "diagonalize", lambda op: calls.append(1) or diagonalize(op))
+    gap_a, gap_b = cl.edge_gap_scan(sym, PAIR, 40, (6, 6))
+    assert min(gap_a, gap_b) > 0.8
+    assert 2 <= len(calls) <= 12
 
 
 def _cluster_slice(vals):

@@ -211,7 +211,7 @@ def test_strip_depth_matches_fraction_formula():
 
 
 def _edge_scan_cases():
-    """(symbol, pair) of each oracle case for the screened edge scan."""
+    """(symbol, pair, W, grid) of each oracle case for the screened edge scan."""
     models = builtin_models()
     product = models["product_example"].symbol
     h2 = models["h2_example"]
@@ -222,25 +222,28 @@ def _edge_scan_cases():
         return product_hamiltonian(h1, h2.symbol, h2.grading)
 
     return {
-        "product": (product, quadrant),
-        "perturbed_3": (perturb_onsite(product, 0.1, 3), quadrant),
-        "perturbed_8": (perturb_onsite(product, 0.1, 8), quadrant),
-        "factor_perturbed_3": (factor_perturbed(3), quadrant),
-        "factor_perturbed_8": (factor_perturbed(8), quadrant),
+        "product": (product, quadrant, 16, (6, 6)),
+        "perturbed_3": (perturb_onsite(product, 0.1, 3), quadrant, 16, (6, 6)),
+        "perturbed_8": (perturb_onsite(product, 0.1, 8), quadrant, 16, (6, 6)),
+        "factor_perturbed_3": (factor_perturbed(3), quadrant, 16, (6, 6)),
+        "factor_perturbed_8": (factor_perturbed(8), quadrant, 16, (6, 6)),
         # clusters straddle 0 on the gapless alpha edge
-        "stacked": (models["h1_stacked"].symbol, quadrant),
+        "stacked": (models["h1_stacked"].symbol, quadrant, 16, (6, 6)),
         # supercells of two columns on both sides
-        "slopes_q2": (product, SlopePair(Slope.parse("-3/2"), Slope.parse("1/2"))),
+        "slopes_q2": (product, SlopePair(Slope.parse("-3/2"), Slope.parse("1/2")), 16, (6, 6)),
+        # the edge_scan benchmark's configuration
+        "factor_perturbed_201_W40": (factor_perturbed(201), quadrant, 40, (6, 6)),
+        # five-column supercells: strips of bandwidth 27, squares of 54
+        "slope_2_5": (product, SlopePair(Slope.parse("2/5"), Slope.plus_inf()), 8, (4, 4)),
     }
 
 
 @pytest.mark.parametrize("name", list(_edge_scan_cases()))
 def test_screened_edge_scan_equals_unscreened_oracle(name):
-    """The eigenvalue screen skips only strips that cannot lower a minimum,
+    """The Cholesky clearance skips only strips that cannot lower a minimum,
     so both minima are exactly those of the full loop over every strip."""
-    sym, pair = _edge_scan_cases()[name]
-    assert cl.edge_gap_scan(sym, pair, 16, (6, 6)) == \
-        oracle_edge_gap_scan(sym, pair, 16, (6, 6))
+    sym, pair, W, grid = _edge_scan_cases()[name]
+    assert cl.edge_gap_scan(sym, pair, W, grid) == oracle_edge_gap_scan(sym, pair, W, grid)
 
 
 def _edge_flow_cases():

@@ -115,6 +115,10 @@ def test_block_shape_and_offset_type_refused():
         HamiltonianSymbol(1, 2, {(0,): np.eye(3)})
     with pytest.raises(ModelError, match=r"^offset \(0\.5,\) has a non-integer component$"):
         HamiltonianSymbol(1, 2, {(0.5,): np.eye(2)})
+    with pytest.raises(ModelError, match=r"^offset 0 is not a tuple of integers$"):
+        HamiltonianSymbol(1, 1, {0: [[1.0]]})
+    with pytest.raises(ModelError, match=r"^offset '0' has a non-integer component$"):
+        HamiltonianSymbol(1, 1, {"0": [[1.0]]})
 
 
 def test_grading_must_be_square():

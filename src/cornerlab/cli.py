@@ -47,7 +47,6 @@ _RANGES = (
     ("k-grid", lambda v: v >= 2, "be at least 2"),
     ("window", lambda v: v > 0, "be positive"),
     ("gap-threshold", lambda v: 0 <= v < np.inf, "be finite and >= 0"),
-    ("mask-threshold", lambda v: 0 < v < 1, "lie in (0, 1)"),
     ("seed", lambda v: v >= 0, "be at least 0"),
 )
 
@@ -195,8 +194,8 @@ def _svg_band_plot(path, xs, bands, title, xlabel, ylabel, no_timestamps):
         fh.write("\n".join(lines) + "\n")
 
 
-def _svg_flow_plot(path, samples, threshold, window, title, no_timestamps):
-    """Windowed eigenvalues vs t; corner-weighted points highlighted."""
+def _svg_flow_plot(path, samples, window, title, no_timestamps):
+    """Windowed eigenvalues vs t; points attributed to the corner highlighted."""
     xlim = (0.0, 2 * np.pi)
     ylim = (-window, window)
     lines = _svg_open(title, no_timestamps)
@@ -207,7 +206,7 @@ def _svg_flow_plot(path, samples, threshold, window, title, no_timestamps):
             if abs(v) > window:
                 continue
             px, py = to_px(t % (2 * np.pi), v)
-            if w >= threshold:
+            if w >= invariants.ATTRIBUTION_MIN:
                 strong.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="2.6" fill="#d62728"/>')
             else:
                 faint.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="1.4" fill="#9b9b9b"/>')
@@ -270,18 +269,16 @@ def cmd_corner_flow(cfg):
     sym, _ = _load_model(cfg, symbol.builtin_models())
     pair = _slope_pair(cfg)
     net, detail = invariants.corner_spectral_flow(
-        sym, pair, cfg.L, n_t=cfg.t_grid, window=cfg.window,
-        threshold=cfg.mask_threshold, keep_samples=True)
+        sym, pair, cfg.L, n_t=cfg.t_grid, window=cfg.window, keep_samples=True)
     path = _write_json(cfg, "corner_flow.json", {
         "spectral_flow": int(net),
         "window": float(detail.window),
         "grid_points": detail.grid_points,
-        "threshold": detail.threshold,
         "edge_gaps": [float(g) for g in detail.edge_gaps],
         "crossings": [asdict(c) for c in detail.crossings],
     })
     svg_path = os.path.join(cfg.out, "corner_flow.svg")
-    _svg_flow_plot(svg_path, detail.samples, detail.threshold, detail.window,
+    _svg_flow_plot(svg_path, detail.samples, detail.window,
                    f"corner family spectrum, sf = {net}", cfg.no_timestamps)
     print(f"corner-flow: spectral flow = {net} "
           f"({len(detail.crossings)} raw crossings, window {detail.window:.4f})")
@@ -297,8 +294,7 @@ def cmd_verify_product(cfg):
     i_1d = invariants.winding_number(h2, grading)
     prod = symbol.product_hamiltonian(h1, h2, grading)
     sf, _ = invariants.corner_spectral_flow(
-        prod, pair, cfg.L, n_t=cfg.t_grid, window=cfg.window,
-        threshold=cfg.mask_threshold)
+        prod, pair, cfg.L, n_t=cfg.t_grid, window=cfg.window)
     be_pair = (invariants._pair_rank(h1, h2), i_2d * i_1d)
     doc = {
         "lhs": sf,
@@ -324,8 +320,7 @@ def cmd_report(cfg):
     factors = _load_factors(cfg, catalog) if cfg.h1 is not None else None
     report = invariants.compute_report(
         sym, pair, W=cfg.W, edge_grid=(cfg.k_grid, cfg.k_grid), L=cfg.L,
-        n_t=cfg.t_grid, window=cfg.window, threshold=cfg.mask_threshold,
-        factors=factors)
+        n_t=cfg.t_grid, window=cfg.window, factors=factors)
     path = _write_json(cfg, "report.json", {"report": report.to_dict()})
     print(f"report: {json.dumps(report.to_dict(), sort_keys=True)}")
     print(f"wrote {path}")
@@ -354,8 +349,6 @@ _FLAGS = {
                      help="points per angle in the edge-gap and report scans (a corner "
                           "flow's Fredholm scan is fixed at %dx%d)" % invariants._FLOW_EDGE_GRID),
     "--window": dict(type=float, help="tracking half-width (default: scaled to the edge gap)"),
-    "--mask-threshold": dict(type=float, default=invariants.DEFAULT_MASK_THRESHOLD,
-                             help="corner-localization weight for a crossing to count"),
     "--gap-threshold": dict(type=float, help="PASS iff both minima reach this value "
                                                 f"(default {invariants._EDGE_GAP_FLOOR})"),
     "--sweep-axis": dict(type=int, help="which angle to sweep (default: last axis)"),
@@ -372,12 +365,12 @@ _COMMANDS = {
                  "--model --builtin --seed --alpha --beta --W --k-grid --gap-threshold --out"),
     "corner-flow": (cmd_corner_flow, "spectral flow of the corner family",
                     "--model --builtin --seed --alpha --beta --L --t-grid --window "
-                    "--mask-threshold --out --no-timestamps"),
+                    "--out --no-timestamps"),
     "verify-product": (cmd_verify_product, "check sf(corner) == I_2d * I_1d for a factor pair",
-                       "--h1! --h2! --alpha --beta --L --t-grid --window --mask-threshold --out"),
+                       "--h1! --h2! --alpha --beta --L --t-grid --window --out"),
     "report": (cmd_report, "consolidated invariant report (dim-3 model)",
                "--model --builtin --seed --alpha --beta --L --W --t-grid --k-grid --window "
-               "--mask-threshold --h1 --h2 --out"),
+               "--h1 --h2 --out"),
 }
 
 

@@ -27,9 +27,8 @@ from .symbol import check_chiral, evaluate_bloch, partial_bloch  # noqa: F401 (t
 GAP_FLOOR = 1e-8
 INT_RESIDUAL_TOL = 1e-6
 KERNEL_TOL = 1e-6
-KERNEL_WEIGHT_MIN = 0.9
+ATTRIBUTION_MIN = 0.9
 NEAR_WALL_WEIGHT_MIN = 0.6
-DEFAULT_MASK_THRESHOLD = 0.6
 _EDGE_GAP_FLOOR = 0.1
 _FLOW_EDGE_W = 16
 _FLOW_EDGE_GRID = (8, 8)
@@ -58,6 +57,17 @@ def _refined(value_at, n, what):
     except _RefineNeeded as exc:
         raise ResidualError(
             f"{what} not certified at {n} ({first}) or at {2 * n} ({exc})") from exc
+
+
+def _attributed(weights, error):
+    """One rule for the kernel and both flows: a state whose weight on the
+    mask is >= ATTRIBUTION_MIN counts, one with 1 - weight >= it does not,
+    and any other weight (NaN too) raises ``error``."""
+    weights = np.asarray(weights, dtype=float)
+    if ambiguous := np.sum(~((weights >= ATTRIBUTION_MIN) | (1 - weights >= ATTRIBUTION_MIN))):
+        raise error(f"{ambiguous} state(s) weigh between {1 - ATTRIBUTION_MIN:.1f} "
+                    f"and {ATTRIBUTION_MIN} on the mask")
+    return weights >= ATTRIBUTION_MIN
 
 
 def _integer(total, m):
@@ -245,12 +255,7 @@ def _halfline_kernel_states(sym, grading, W):
     near = _near_wall(geometry.Slope.plus_inf(), geometry.BETA, op.region, W)
     sl = spectra.sharpen_degeneracies(spectra.diagonalize(op), near, matrix=op.matrix)
     idx = np.nonzero(np.abs(sl.eigenvalues) < KERNEL_TOL)[0]
-    weights = spectra.all_weights(sl, near)[idx]
-    ambiguous = (weights > 1 - KERNEL_WEIGHT_MIN) & (weights < KERNEL_WEIGHT_MIN)
-    if np.any(ambiguous):
-        raise _RefineNeeded(f"{int(np.sum(ambiguous))} near-zero state(s) spread "
-                            "across both walls")
-    v = sl.eigenvectors[:, idx[weights >= KERNEL_WEIGHT_MIN]]
+    v = sl.eigenvectors[:, idx[_attributed(spectra.all_weights(sl, near)[idx], _RefineNeeded)]]
     form = v.conj().T @ np.kron(np.eye(W), grading.matrix) @ v
     return 0.5 * (form + form.conj().T), W
 
@@ -267,7 +272,7 @@ def _kernel_detail(sym, grading, W):
     if form.shape[0] == 0:
         return 0, W
     chis = np.linalg.eigvalsh(form)
-    if np.any(np.abs(chis) < KERNEL_WEIGHT_MIN):
+    if np.any(np.abs(chis) < 0.9):
         raise ResidualError(
             "kernel states lack definite grading sign; increase W or lower "
             "the kernel tolerance"
@@ -381,11 +386,12 @@ def _clusters_in_reach(sl, best, margin):
 
 def _scan_grid(grid):
     """``(nk, nt)`` from an int n (meaning ``(n, n)``) or a tuple of two ints >= 1."""
-    nk, nt = grid if isinstance(grid, tuple) else (grid, grid)
-    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
-               for n in (nk, nt)):
-        raise ModelError(f"edge scan grid sizes must be integers >= 1, got {grid!r}")
-    return int(nk), int(nt)
+    sizes = grid if isinstance(grid, tuple) else (grid, grid)
+    if len(sizes) != 2 or not all(
+            isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+            for n in sizes):
+        raise ModelError(f"edge scan grid must be two integers >= 1, got {grid!r}")
+    return int(sizes[0]), int(sizes[1])
 
 
 def edge_gap_scan(sym, pair, W, grid=(16, 16)):
@@ -466,19 +472,13 @@ class FlowCrossing:
 
 @dataclass
 class FlowDetail:
-    """Everything the flow counter saw, before and after mask filtering."""
+    """Every crossing the flow counter saw, attributed to the corner or not."""
 
     crossings: list
     window: float
-    threshold: float
     grid_points: int
     edge_gaps: tuple
     samples: list | None = None
-
-    def net_at(self, threshold):
-        """Net signed flow recounted at a different localization threshold."""
-        return sum(c.direction * sum(1 for w in c.member_weights if w >= threshold)
-                   for c in self.crossings)
 
 
 def _merge_crossings(raw):
@@ -514,11 +514,12 @@ def _tracked_crossings(point, n_t, window, profile, mask, rate, samples=None):
     The slice builder of both flows: every slice, refined ones included, is
     window-solved, sharpened by ``profile`` and, if ``samples`` is a list,
     recorded there as ``(t, eigenvalues, weights on mask)``.  Branches are
-    tracked at jump bound ``rate``; each crossing carries its mean endpoint
-    weight on ``mask``.  A loop of finite Hermitian matrices ends with as
-    many eigenvalues below 0 as it started with, so the directions must sum
-    to 0; a lost or doubled crossing raises TrackingError, as does a grid of
-    fewer than 3 points, before any slice is built.
+    tracked at jump bound ``rate``.  A loop of finite Hermitian matrices ends
+    with as many eigenvalues below 0 as it started with, so the directions
+    must sum to 0; a lost or doubled crossing raises TrackingError, as does a
+    grid of fewer than 3 points, before any slice is built.  Returns ``(net,
+    crossings)``: net sums the directions of the crossings whose mean endpoint
+    weight on ``mask`` :func:`_attributed` counts, refusing with TrackingError.
     """
     if n_t < 3:
         raise TrackingError("need at least 3 grid points on the circle")
@@ -538,7 +539,8 @@ def _tracked_crossings(point, n_t, window, profile, mask, rate, samples=None):
     if total := sum(c.direction for c in found):
         raise TrackingError(
             f"tracked crossings sum to {total:+d} around a closed loop, not 0")
-    return found
+    counts = _attributed([c.weight for c in found], TrackingError)
+    return sum(c.direction for c, n in zip(found, counts) if n), found
 
 
 def _corner_profile(site):
@@ -548,8 +550,7 @@ def _corner_profile(site):
     return math.exp(-(abs(site[0]) + 1.618 * abs(site[1])) / 4.0)
 
 
-def corner_spectral_flow(sym, pair, L, n_t=64, window=None,
-                         threshold=DEFAULT_MASK_THRESHOLD, keep_samples=False):
+def corner_spectral_flow(sym, pair, L, n_t=64, window=None, keep_samples=False):
     """Net spectral flow of the corner-compressed family over the t circle.
 
     Parameters
@@ -565,9 +566,6 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None,
         sit at half-step offsets.
     window : float, optional
         Tracking half-width.  Default: 0.45 times the smaller edge gap.
-    threshold : float
-        Minimal weight on the corner mask, the max-norm ball of radius L/2
-        around the wedge vertex, for a crossing to count.
     keep_samples : bool
         Record (t, eigenvalues, weights) for every diagonalized point,
         refinements included, in ``FlowDetail.samples`` (for plotting).
@@ -575,8 +573,10 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None,
     Returns
     -------
     (int, FlowDetail)
-        Net signed count of zero crossings (up = +1) among corner-masked
-        branches, plus per-crossing detail.
+        Net signed count of zero crossings (up = +1) of corner branches,
+        plus per-crossing detail.  A crossing counts with weight >= 0.9 on
+        the max-norm ball of radius L/2 around the wedge vertex, not with
+        <= 0.1; a weight between raises TrackingError.
 
     The edge gaps are scanned first, at depth 16 on an 8 x 8 grid; if the
     smaller one does not exceed the edge-gap floor 0.1, or does not clear
@@ -607,17 +607,11 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None,
 
     samples = [] if keep_samples else None
     family = assembly.corner_family(sym, pair, L)
-    raw = _tracked_crossings(lambda t: family.operator(t=t), n_t, window, _corner_profile, mask,
-                             _parameter_rate(sym, 2), samples)
-    detail = FlowDetail(
-        crossings=_merge_crossings(raw),
-        window=window,
-        threshold=threshold,
-        grid_points=n_t,
-        edge_gaps=(gap_a, gap_b),
-        samples=sorted(samples, key=lambda row: row[0]) if samples else None,
-    )
-    return detail.net_at(threshold), detail
+    net, raw = _tracked_crossings(lambda t: family.operator(t=t), n_t, window, _corner_profile,
+                                  mask, _parameter_rate(sym, 2), samples)
+    return net, FlowDetail(
+        crossings=_merge_crossings(raw), window=window, grid_points=n_t, edge_gaps=(gap_a, gap_b),
+        samples=sorted(samples, key=lambda row: row[0]) if samples else None)
 
 
 def edge_spectral_flow(sym, W=40, n_t=64):
@@ -626,10 +620,10 @@ def edge_spectral_flow(sym, W=40, n_t=64):
     One dim-2 strip family of slope +inf (sites 0..W-1) read at ``k_edge = -t``:
     the second axis folded to t with the orientation of the dim-3 corner fold.
     Each slice is window-solved, its window count certified by two inertia
-    counts.  Zero crossings of near-wall branches (weight >= 0.6 within depth
-    W/2) are tracked inside a window of 0.45 times the bulk gap and counted
-    over the circle.  Cross-check partner of :func:`chern_number`: the flow
-    equals minus that invariant.
+    counts.  Zero crossings are tracked inside a window of 0.45 times the
+    bulk gap; those of weight >= 0.9 within depth W/2 count, those <= 0.1
+    do not, and any other raises TrackingError.  Cross-check partner of
+    :func:`chern_number`: the flow equals minus that invariant.
 
     ``W`` and ``n_t`` must be integers of at least 1 (GeometryError
     otherwise); ``n_t`` 1 and 2 raise TrackingError, since it takes 3
@@ -644,9 +638,8 @@ def edge_spectral_flow(sym, W=40, n_t=64):
     slope = geometry.Slope.plus_inf()
     family = assembly.strip_family(sym, slope, geometry.BETA, W)
     near = _near_wall(slope, geometry.BETA, family.region, W)
-    raw = _tracked_crossings(lambda t: family.operator(-t, t), n_t, window, near, near,
-                             _parameter_rate(sym, 1))
-    return sum(c.direction for c in raw if c.weight >= NEAR_WALL_WEIGHT_MIN)
+    return _tracked_crossings(lambda t: family.operator(-t, t), n_t, window, near, near,
+                              _parameter_rate(sym, 1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +717,7 @@ class InvariantReport:
 
 
 def compute_report(sym, pair, *, W=40, edge_grid=(16, 16), L=24, n_t=64,
-                   window=None, threshold=DEFAULT_MASK_THRESHOLD, factors=None):
+                   window=None, factors=None):
     """Run the full dim-3 pipeline: edge gaps, weak invariants, corner flow.
 
     Weak invariants use a 20 x 20 grid.  The corner flow is skipped (with
@@ -745,7 +738,6 @@ def compute_report(sym, pair, *, W=40, edge_grid=(16, 16), L=24, n_t=64,
         "edge_grid": list(edge_grid),
         "L": L,
         "t_grid": n_t,
-        "mask_threshold": threshold,
         "weak_grid": _WEAK_GRID,
         "gap_floor": _EDGE_GAP_FLOOR,
         "residuals": {},
@@ -755,9 +747,7 @@ def compute_report(sym, pair, *, W=40, edge_grid=(16, 16), L=24, n_t=64,
     )
     report.weak = weak_invariants(sym, _WEAK_GRID)
     if min(gap_a, gap_b) > _EDGE_GAP_FLOOR:
-        sf, detail = corner_spectral_flow(
-            sym, pair, L, n_t=n_t, window=window, threshold=threshold
-        )
+        sf, detail = corner_spectral_flow(sym, pair, L, n_t=n_t, window=window)
         report.corner_sf = sf
         provenance["window"] = detail.window
         provenance["corner_skipped"] = None

@@ -296,11 +296,13 @@ def oracle_edge_spectral_flow(sym, W, n_t):
     ``assemble_halfline`` and fully diagonalized; each slice is given its t.
 
     Returns the net flow and the tracked crossings, whose directions must sum
-    to 0 around the loop.  Like ``oracle_edge_gap_scan`` it reuses the
-    package's branch linking, since what it checks is the strip family and
-    the window solver that replace this loop.
+    to 0 around the loop; a crossing it cannot attribute raises TrackingError.
+    Like ``oracle_edge_gap_scan`` it reuses the package's branch linking,
+    since what it checks is the strip family and the window solver that
+    replace this loop.
     """
     from cornerlab import assembly, invariants, spectra
+    from cornerlab.errors import TrackingError
     from cornerlab.symbol import partial_bloch
 
     window = 0.45 * invariants._bulk_gap_on_grid(sym, 32)
@@ -319,9 +321,11 @@ def oracle_edge_spectral_flow(sym, W, n_t):
         jump_bound=invariants._parameter_rate(sym, 1), refine_fn=build)
     raw = spectra.crossings(track)
     assert sum(c.direction for c in raw) == 0
-    net = sum(c.direction for c in raw
-              if c.weight is not None and c.weight >= invariants.DEFAULT_MASK_THRESHOLD)
-    return net, raw
+    # A crossing state counts with >= 90% of its weight near the wall and is
+    # left out with <= 10%; anything between is refused.
+    if any(0.1 < c.weight < 0.9 for c in raw):
+        raise TrackingError("a crossing state weighs between 0.1 and 0.9 near the wall")
+    return sum(c.direction for c in raw if c.weight >= 0.9), raw
 
 
 def oracle_assignment(weights):

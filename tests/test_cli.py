@@ -191,8 +191,6 @@ def test_model_flag_xor(tmp_path, capsys):
 
 
 def test_config_validation_exits_2():
-    assert run("corner-flow", "--builtin", "product_example",
-               "--mask-threshold", "1.5") == 2
     assert run("corner-flow", "--builtin", "product_example", "--t-grid", "2") == 2
     assert run("corner-flow", "--builtin", "product_example", "--L", "12",
                "--t-grid", "8", "--window", "nan") == 2
@@ -219,7 +217,7 @@ def test_lattice_sizes_refused_before_any_work(tmp_path, capsys, args, flag):
 
 MODEL = {"--model", "--builtin", "--seed"}
 SLOPES = {"--alpha", "--beta"}
-FLOW = {"--L", "--t-grid", "--window", "--mask-threshold"}
+FLOW = {"--L", "--t-grid", "--window"}
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -240,7 +238,11 @@ def test_each_subcommand_takes_only_the_flags_it_reads(command, flags):
     ("verify-product", "--h1", "h1_example", "--h2", "h2_example", "--seed", "3"),
     ("edge-gap", "--builtin", "product_example", "--t-grid", "8"),
     ("bulk-spectrum", "--builtin", "product_example", "--L", "8"),
-], ids=["verify-product-seed", "edge-gap-t-grid", "bulk-spectrum-L"])
+    ("corner-flow", "--builtin", "product_example", "--mask-threshold", "1.5"),
+    ("verify-product", "--h1", "h1_example", "--h2", "h2_example", "--mask-threshold", "0.6"),
+    ("report", "--builtin", "product_example", "--mask-threshold", "0.6"),
+], ids=["verify-product-seed", "edge-gap-t-grid", "bulk-spectrum-L", "corner-flow-mask-threshold",
+        "verify-product-mask-threshold", "report-mask-threshold"])
 def test_a_flag_the_subcommand_does_not_read_is_refused(args):
     with pytest.raises(SystemExit) as info:
         run(*args)

@@ -136,7 +136,7 @@ def test_edge_gap_scan_flags_gapless_stacked_edge(models):
         cl.edge_gap_scan(qwz_model(-1.0), PAIR, 16, (6, 6))
 
 
-@pytest.mark.parametrize("grid", [(0, 0), (0, 4), 0, (-1, 3), True, (True, 4)])
+@pytest.mark.parametrize("grid", [(0, 0), (0, 4), 0, (-1, 3), True, (True, 4), (4, 4, 4), (4,)])
 def test_edge_gap_scan_refuses_empty_grid(models, grid, monkeypatch):
     """An empty grid would report an infinite gap; it is refused instead,
     and the report refuses it before any scan or invariant runs."""
@@ -315,12 +315,17 @@ def test_clearance_refuses_a_band_with_nan():
     """A NaN, an infinity or an overflow fails the clearance, so such a
     strip would take the full path; symbols with a NaN are refused at load (see
     test_symbol.py::test_non_finite_entries_rejected), so none reaches a scan."""
-    for bad in (np.nan, np.inf, 1e200):
-        for where in ((0, 0), (1, 1)):
-            band = np.array([[3.0, 1.0, 2.0, 3.0], [0.5, 0.5, 0.5, 0]], complex)
-            band[where] = bad
-            square, rho = invariants._band_square(band)
-            assert not invariants._clears(square, rho, 0.5)
+    def clears(bad, where):
+        band = np.array([[3.0, 1.0, 2.0, 3.0], [0.5, 0.5, 0.5, 0]], complex)
+        band[where] = bad
+        square, rho = invariants._band_square(band)
+        return invariants._clears(square, rho, 0.5)
+
+    for where in ((0, 0), (1, 1)):
+        assert not clears(np.nan, where)  # a NaN propagates silently
+        for bad in (np.inf, 1e200):  # an infinity or an overflow also warns
+            with pytest.warns(RuntimeWarning):
+                assert not clears(bad, where)
 
 
 @pytest.mark.parametrize("seed", [201, 202, 203])
@@ -670,3 +675,57 @@ def test_flows_refuse_short_grids_before_any_slice(monkeypatch, models, n_t):
         invariants.edge_spectral_flow(models["h1_example"].symbol, W=12, n_t=n_t)
     with pytest.raises(GeometryError):
         invariants.corner_spectral_flow(models["product_example"].symbol, PAIR, 8, n_t=0)
+
+
+def test_attribution_rule_boundaries():
+    """At least 0.9 on the mask counts, at most 0.1 does not, and anything
+    between (NaN included) raises the error the caller passes."""
+    got = invariants._attributed([0.0, 0.1, 0.9, 1.0], TrackingError)
+    assert got.tolist() == [False, False, True, True]
+    for bad in (0.5, 0.11, 0.89, np.nan):
+        with pytest.raises(TrackingError, match="1 state"):
+            invariants._attributed([1.0, bad, 0.0], TrackingError)
+
+
+def _rotating_pair(phase):
+    """Two sites, H(t) = cos t (cos(t - phase) sz + sin(t - phase) sx): the
+    states crossing 0 at t = pi/2 and 3pi/2 sit on one site each for
+    phase = pi/2, and spread evenly over both for phase = 0."""
+    region = geometry.LatticeRegion([(0, 0), (1, 0)], 1)
+    sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def point(t):
+        h = np.cos(t) * (np.cos(t - phase) * sz + np.sin(t - phase) * sx)
+        return AssembledOperator(sp.csr_matrix(h.astype(complex)), region=region, t=t)
+
+    return point
+
+
+@pytest.mark.parametrize("mask, net", [
+    (lambda s: s == (0, 0), -2), (lambda s: s == (1, 0), 2), (lambda s: True, 0),
+], ids=["site-0", "site-1", "both"])
+def test_tracked_crossings_count_attributed_states(mask, net):
+    """The slice builder of both flows sums the directions of the crossings
+    whose state sits on the mask: two down on site 0, two up on site 1."""
+    got, found = invariants._tracked_crossings(_rotating_pair(np.pi / 2), 8, 0.5, mask,
+                                               mask, 2.0)
+    assert got == net and len(found) == 4
+
+
+def test_tracked_crossings_refuse_a_state_split_across_the_mask(monkeypatch):
+    """A crossing state of weight 0.5 on the mask is neither at the corner
+    nor away from it: both flows' slice builder raises TrackingError."""
+    crossings, weights = spectra.crossings, []
+
+    def seen(track):
+        found = crossings(track)
+        weights.extend(c.weight for c in found)
+        return found
+
+    def mask(site):
+        return site == (0, 0)
+
+    monkeypatch.setattr(spectra, "crossings", seen)
+    with pytest.raises(TrackingError, match="between 0.1 and 0.9"):
+        invariants._tracked_crossings(_rotating_pair(0.0), 8, 0.5, mask, mask, 2.0)
+    assert len(weights) == 4 and np.allclose(weights, 0.5)

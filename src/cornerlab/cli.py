@@ -10,14 +10,14 @@ report          consolidated invariant report for a dim-3 model -> JSON.
 
 Each subcommand takes only the flags it reads (``_COMMANDS``), and each
 JSON document echoes the parsed flags of its own subcommand, with the
-package version; two runs with the same flags produce byte-identical JSON.
-SVG output carries a generation timestamp comment unless --no-timestamps
-is given.  Exit codes: 0 success, 2 model or configuration error, 3
-numerical failure, 4 spectral-gap assumption violated.
+package version; two runs with the same flags produce byte-identical JSON
+and SVG.  The corner flow's tracking window and the edge-gap verdict's
+threshold are set by the package, not by flags.  Exit codes: 0 success,
+2 model or configuration error, 3 numerical failure, 4 spectral-gap
+assumption violated.
 """
 
 import argparse
-import datetime
 import json
 import os
 import sys
@@ -45,8 +45,6 @@ _RANGES = (
     ("W", lambda v: v >= 1, "be at least 1"),
     ("t-grid", lambda v: v >= 4, "be at least 4"),
     ("k-grid", lambda v: v >= 2, "be at least 2"),
-    ("window", lambda v: v > 0, "be positive"),
-    ("gap-threshold", lambda v: 0 <= v < np.inf, "be finite and >= 0"),
     ("seed", lambda v: v >= 0, "be at least 0"),
 )
 
@@ -110,19 +108,14 @@ _PLOT_W, _PLOT_H = 720, 440
 _MARGIN = (56, 16, 34, 44)  # left, right, top, bottom
 
 
-def _svg_open(title, no_timestamps):
-    lines = [
+def _svg_open(title):
+    return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PLOT_W}" '
         f'height="{_PLOT_H}" viewBox="0 0 {_PLOT_W} {_PLOT_H}">',
-    ]
-    if not no_timestamps:
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-        lines.insert(0, f"<!-- generated {stamp} -->")
-    lines.append(f'<rect width="{_PLOT_W}" height="{_PLOT_H}" fill="white"/>')
-    lines.append(
+        f'<rect width="{_PLOT_W}" height="{_PLOT_H}" fill="white"/>',
         f'<text x="{_PLOT_W / 2:.0f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>')
-    return lines
+        f'font-family="sans-serif" font-size="14">{title}</text>',
+    ]
 
 
 def _axis_map(xlim, ylim):
@@ -176,13 +169,13 @@ _BAND_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728",
                 "#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
 
 
-def _svg_band_plot(path, xs, bands, title, xlabel, ylabel, no_timestamps):
+def _svg_band_plot(path, xs, bands, title, xlabel, ylabel):
     """Polyline per band; ``bands`` has shape (len(xs), n_bands)."""
     bands = np.asarray(bands)
     pad = 0.05 * (bands.max() - bands.min() or 1.0)
     xlim = (float(xs[0]), float(xs[-1]))
     ylim = (float(bands.min() - pad), float(bands.max() + pad))
-    lines = _svg_open(title, no_timestamps)
+    lines = _svg_open(title)
     to_px = _svg_axes(lines, xlim, ylim, xlabel, ylabel)
     for b in range(bands.shape[1]):
         pts = " ".join("%.1f,%.1f" % to_px(x, y) for x, y in zip(xs, bands[:, b]))
@@ -194,11 +187,11 @@ def _svg_band_plot(path, xs, bands, title, xlabel, ylabel, no_timestamps):
         fh.write("\n".join(lines) + "\n")
 
 
-def _svg_flow_plot(path, samples, window, title, no_timestamps):
+def _svg_flow_plot(path, samples, window, title):
     """Windowed eigenvalues vs t; points attributed to the corner highlighted."""
     xlim = (0.0, 2 * np.pi)
     ylim = (-window, window)
-    lines = _svg_open(title, no_timestamps)
+    lines = _svg_open(title)
     to_px = _svg_axes(lines, xlim, ylim, "t", "eigenvalue")
     faint, strong = [], []
     for t, vals, weights in samples:
@@ -238,7 +231,7 @@ def cmd_bulk_spectrum(cfg):
     svg_path = os.path.join(cfg.out, "bulk_spectrum.svg")
     _svg_band_plot(svg_path, angles, bands,
                    f"bulk spectrum, axis {axis} swept, others at 0",
-                   f"k[{axis}]", "eigenvalue", cfg.no_timestamps)
+                   f"k[{axis}]", "eigenvalue")
     gap = float(np.min(np.abs(bands)))
     print(f"bulk-spectrum: {bands.shape[1]} bands, min |lambda| = {gap:.6f}")
     print(f"wrote {csv_path}")
@@ -249,7 +242,7 @@ def cmd_bulk_spectrum(cfg):
 def cmd_edge_gap(cfg):
     sym, _ = _load_model(cfg, symbol.builtin_models())
     pair = _slope_pair(cfg)
-    threshold = cfg.gap_threshold if cfg.gap_threshold is not None else invariants._EDGE_GAP_FLOOR
+    threshold = invariants._EDGE_GAP_FLOOR
     gap_a, gap_b = invariants.edge_gap_scan(
         sym, pair, cfg.W, (cfg.k_grid, cfg.k_grid))
     ok = min(gap_a, gap_b) >= threshold
@@ -269,7 +262,7 @@ def cmd_corner_flow(cfg):
     sym, _ = _load_model(cfg, symbol.builtin_models())
     pair = _slope_pair(cfg)
     net, detail = invariants.corner_spectral_flow(
-        sym, pair, cfg.L, n_t=cfg.t_grid, window=cfg.window, keep_samples=True)
+        sym, pair, cfg.L, n_t=cfg.t_grid, keep_samples=True)
     path = _write_json(cfg, "corner_flow.json", {
         "spectral_flow": int(net),
         "window": float(detail.window),
@@ -279,9 +272,10 @@ def cmd_corner_flow(cfg):
     })
     svg_path = os.path.join(cfg.out, "corner_flow.svg")
     _svg_flow_plot(svg_path, detail.samples, detail.window,
-                   f"corner family spectrum, sf = {net}", cfg.no_timestamps)
-    print(f"corner-flow: spectral flow = {net} "
-          f"({len(detail.crossings)} raw crossings, window {detail.window:.4f})")
+                   f"corner family spectrum, sf = {net}")
+    tracked = sum(c.multiplicity for c in detail.crossings)
+    print(f"corner-flow: spectral flow = {net} ({tracked} tracked crossings in "
+          f"{len(detail.crossings)} rows, window {detail.window:.4f})")
     print(f"wrote {path}")
     print(f"wrote {svg_path}")
     return 0
@@ -293,8 +287,7 @@ def cmd_verify_product(cfg):
     i_2d = invariants.chern_number(h1)
     i_1d = invariants.winding_number(h2, grading)
     prod = symbol.product_hamiltonian(h1, h2, grading)
-    sf, _ = invariants.corner_spectral_flow(
-        prod, pair, cfg.L, n_t=cfg.t_grid, window=cfg.window)
+    sf, _ = invariants.corner_spectral_flow(prod, pair, cfg.L, n_t=cfg.t_grid)
     be_pair = (invariants._pair_rank(h1, h2), i_2d * i_1d)
     doc = {
         "lhs": sf,
@@ -320,7 +313,7 @@ def cmd_report(cfg):
     factors = _load_factors(cfg, catalog) if cfg.h1 is not None else None
     report = invariants.compute_report(
         sym, pair, W=cfg.W, edge_grid=(cfg.k_grid, cfg.k_grid), L=cfg.L,
-        n_t=cfg.t_grid, window=cfg.window, factors=factors)
+        n_t=cfg.t_grid, factors=factors)
     path = _write_json(cfg, "report.json", {"report": report.to_dict()})
     print(f"report: {json.dumps(report.to_dict(), sort_keys=True)}")
     print(f"wrote {path}")
@@ -348,28 +341,22 @@ _FLAGS = {
     "--k-grid": dict(type=int, default=16,
                      help="points per angle in the edge-gap and report scans (a corner "
                           "flow's Fredholm scan is fixed at %dx%d)" % invariants._FLOW_EDGE_GRID),
-    "--window": dict(type=float, help="tracking half-width (default: scaled to the edge gap)"),
-    "--gap-threshold": dict(type=float, help="PASS iff both minima reach this value "
-                                                f"(default {invariants._EDGE_GAP_FLOOR})"),
     "--sweep-axis": dict(type=int, help="which angle to sweep (default: last axis)"),
     "--out": dict(default=".", help="output directory"),
-    "--no-timestamps": dict(action="store_true",
-                            help="omit the generation timestamp from SVG output"),
 }
 
 # Subcommand -> (handler, help, the flags its handler reads; "!" marks a required one).
 _COMMANDS = {
     "bulk-spectrum": (cmd_bulk_spectrum, "Bloch bands along one swept angle",
-                      "--model --builtin --seed --t-grid --sweep-axis --out --no-timestamps"),
+                      "--model --builtin --seed --t-grid --sweep-axis --out"),
     "edge-gap": (cmd_edge_gap, "minimum gap of both edge compressions",
-                 "--model --builtin --seed --alpha --beta --W --k-grid --gap-threshold --out"),
+                 "--model --builtin --seed --alpha --beta --W --k-grid --out"),
     "corner-flow": (cmd_corner_flow, "spectral flow of the corner family",
-                    "--model --builtin --seed --alpha --beta --L --t-grid --window "
-                    "--out --no-timestamps"),
+                    "--model --builtin --seed --alpha --beta --L --t-grid --out"),
     "verify-product": (cmd_verify_product, "check sf(corner) == I_2d * I_1d for a factor pair",
-                       "--h1! --h2! --alpha --beta --L --t-grid --window --out"),
+                       "--h1! --h2! --alpha --beta --L --t-grid --out"),
     "report": (cmd_report, "consolidated invariant report (dim-3 model)",
-               "--model --builtin --seed --alpha --beta --L --W --t-grid --k-grid --window "
+               "--model --builtin --seed --alpha --beta --L --W --t-grid --k-grid "
                "--h1 --h2 --out"),
 }
 

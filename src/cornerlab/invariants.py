@@ -550,7 +550,7 @@ def _corner_profile(site):
     return math.exp(-(abs(site[0]) + 1.618 * abs(site[1])) / 4.0)
 
 
-def corner_spectral_flow(sym, pair, L, n_t=64, window=None, keep_samples=False):
+def corner_spectral_flow(sym, pair, L, n_t=64, keep_samples=False):
     """Net spectral flow of the corner-compressed family over the t circle.
 
     Parameters
@@ -564,8 +564,6 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None, keep_samples=False):
         Closed t-grid size, an integer of at least 1 (GeometryError
         otherwise) and of at least 3 (TrackingError for 1 and 2); samples
         sit at half-step offsets.
-    window : float, optional
-        Tracking half-width.  Default: 0.45 times the smaller edge gap.
     keep_samples : bool
         Record (t, eigenvalues, weights) for every diagonalized point,
         refinements included, in ``FlowDetail.samples`` (for plotting).
@@ -579,9 +577,11 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None, keep_samples=False):
         <= 0.1; a weight between raises TrackingError.
 
     The edge gaps are scanned first, at depth 16 on an 8 x 8 grid; if the
-    smaller one does not exceed the edge-gap floor 0.1, or does not clear
-    twice the window, the family is not certified Fredholm on the circle
-    and a GapClosedError is raised instead of a meaningless count.
+    smaller one does not exceed the edge-gap floor 0.1, the family is not
+    certified Fredholm on the circle and a GapClosedError is raised instead
+    of a meaningless count.  Otherwise crossings are tracked inside the
+    window |lambda| <= 0.45 times the smaller edge gap, which the edge
+    spectrum clears by more than a factor of two.
     """
     if sym.dim != 3:
         raise ModelError(f"corner flow needs a dim-3 symbol, got dim {sym.dim}")
@@ -593,13 +593,7 @@ def corner_spectral_flow(sym, pair, L, n_t=64, window=None, keep_samples=False):
             f"edge gaps ({gap_a:.4f}, {gap_b:.4f}) fall below the floor "
             f"{_EDGE_GAP_FLOOR}; corner family not certified Fredholm"
         )
-    if window is None:
-        window = 0.45 * min_gap
-    if not window > 0 or min_gap <= 2 * window:
-        raise GapClosedError(
-            f"edge gaps ({gap_a:.4f}, {gap_b:.4f}) do not clear twice the "
-            f"tracking window {window:.4f}; corner family not certified Fredholm"
-        )
+    window = 0.45 * min_gap
     half = L / 2
 
     def mask(site):
@@ -716,15 +710,16 @@ class InvariantReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def compute_report(sym, pair, *, W=40, edge_grid=(16, 16), L=24, n_t=64,
-                   window=None, factors=None):
+def compute_report(sym, pair, *, W=40, edge_grid=(16, 16), L=24, n_t=64, factors=None):
     """Run the full dim-3 pipeline: edge gaps, weak invariants, corner flow.
 
     Weak invariants use a 20 x 20 grid.  The corner flow is skipped (with
-    the reason recorded in provenance) when the measured edge gaps do not
-    exceed the edge-gap floor 0.1, since the flow is only defined for a
-    Fredholm family.  When ``factors`` is given as ``(h1, h2, grading)``
-    the factor invariants and the bulk-edge pair are computed as well.
+    the reason, and a ``window`` of None, in provenance) when the measured
+    edge gaps do not exceed the edge-gap floor 0.1, since the flow is only
+    defined for a Fredholm family; a refusal raised inside the flow, which
+    scans the edges again at its own depth and grid, propagates.  When
+    ``factors`` is given as ``(h1, h2, grading)`` the factor invariants
+    and the bulk-edge pair are computed as well.
     ``W``, ``L``, ``n_t`` and ``edge_grid`` are checked before any work.
     """
     W, L = geometry.lattice_size("W", W), geometry.lattice_size("L", L)
@@ -746,13 +741,11 @@ def compute_report(sym, pair, *, W=40, edge_grid=(16, 16), L=24, n_t=64,
         min_edge_gap_alpha=gap_a, min_edge_gap_beta=gap_b, provenance=provenance
     )
     report.weak = weak_invariants(sym, _WEAK_GRID)
+    provenance["window"] = provenance["corner_skipped"] = None
     if min(gap_a, gap_b) > _EDGE_GAP_FLOOR:
-        sf, detail = corner_spectral_flow(sym, pair, L, n_t=n_t, window=window)
-        report.corner_sf = sf
+        report.corner_sf, detail = corner_spectral_flow(sym, pair, L, n_t=n_t)
         provenance["window"] = detail.window
-        provenance["corner_skipped"] = None
     else:
-        provenance["window"] = window
         provenance["corner_skipped"] = (
             f"edge gaps ({gap_a:.4f}, {gap_b:.4f}) below gap floor "
             f"{_EDGE_GAP_FLOOR}; corner family not Fredholm-certified"

@@ -27,10 +27,11 @@ _PANEL_SIZE = 1
 
 @dataclass
 class SpectralSlice:
-    """Eigenvalues (ascending) of one operator at one parameter point."""
+    """Eigenvalues (ascending) of one operator at one parameter point, with
+    their eigenvectors as the columns of a 2-D array."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
+    eigenvectors: np.ndarray
     t: float | None = None
     region: object | None = None
 
@@ -38,6 +39,10 @@ class SpectralSlice:
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
         if np.any(np.diff(self.eigenvalues) < 0):
             raise EigensolverError("eigenvalues must be ascending")
+        shape = np.shape(self.eigenvectors)
+        if len(shape) != 2 or shape[1] != self.eigenvalues.size:
+            raise EigensolverError(
+                "eigenvectors must be a 2-D array with one column per eigenvalue")
 
 
 def _check_residuals(matrix, vals, vecs, norm_a=None):
@@ -244,8 +249,6 @@ def localization_weight(sl, eigen_index, mask):
     |component|^2 over masked sites and all their orbitals, normalized by
     the full norm.
     """
-    if sl.eigenvectors is None:
-        raise EigensolverError("localization weight needs eigenvectors")
     if not 0 <= eigen_index < sl.eigenvalues.size:
         raise IndexError(f"eigen index {eigen_index} out of range")
     v = sl.eigenvectors[:, eigen_index]
@@ -279,7 +282,7 @@ def sharpen_degeneracies(sl, mask, matrix=None):
     allows, without changing the spanned space.  When ``matrix`` is given
     the rotated states get Rayleigh-quotient eigenvalues.
     """
-    if sl.eigenvectors is None or sl.eigenvalues.size < 2:
+    if sl.eigenvalues.size < 2:
         return sl
     vals = sl.eigenvalues.copy()
     vecs = sl.eigenvectors.copy()
@@ -334,8 +337,6 @@ def _window_indices(sl, window):
 
 def _match(sl_a, sl_b, idx_a, idx_b):
     """Assign windowed states of two slices by overlap; returns [(ia, ib, overlap)]."""
-    if sl_a.eigenvectors is None or sl_b.eigenvectors is None:
-        raise TrackingError("branch tracking needs eigenvectors on every slice")
     if idx_a.size == 0 or idx_b.size == 0:
         return []
     ova = sl_a.eigenvectors[:, idx_a]
@@ -385,8 +386,7 @@ def track_branches(slices, window, weight_fn=None, jump_bound=None, refine_fn=No
         One per grid point, t finite and strictly increasing in [0, 2pi)
         (TrackingError otherwise, a None t included); the grid is treated as
         closed (the last point links back to the first).  States are linked
-        by eigenvector overlap, so every slice, refined ones included, must
-        carry eigenvectors (TrackingError otherwise).
+        by eigenvector overlap.
     window : float
         Half-width of the symmetric tracking window around zero.
     weight_fn : callable, optional

@@ -1,24 +1,32 @@
-"""The package names and arguments that ``bench/tracer.py`` relies on.
+"""The package names and arguments that the benchmark relies on.
 
 The tracer wraps package functions by name and reads two arguments by
-name, so renaming or deleting one breaks ``bench/run.py --trace 1``.
-The tracer module is executed from its source, leaving ``bench/`` as it is.
+name, so renaming or deleting one breaks ``bench/run.py --trace 1``; the
+workloads call package functions with the arguments they take today.
+Both bench modules are executed from their source, leaving ``bench/`` as
+it is.
 """
 
 import importlib
 import inspect
+import json
 import types
 from pathlib import Path
+
+import pytest
 
 import cornerlab
 from cornerlab import invariants, spectra
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOAD_NAMES = [w["name"] for w in
+                  json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def _tracer():
-    module = types.ModuleType("bench_tracer")
-    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+def _bench_module(name):
+    path = ROOT / "bench" / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
@@ -28,7 +36,7 @@ def _resolve(package, name):
 
 
 def test_traced_names_resolve_to_package_attributes():
-    tracer = _tracer()
+    tracer = _bench_module("tracer")
     assert tracer.PACKAGE == cornerlab.__name__
     for name, _ in tracer.TRACED:
         assert callable(_resolve(tracer.PACKAGE, name)), name
@@ -44,3 +52,13 @@ def test_observed_arguments_still_bind():
     flow = inspect.signature(invariants.corner_spectral_flow).bind(None, None, 12)
     flow.apply_defaults()
     assert flow.arguments["n_t"] == 64
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_workload_passes_its_checks_at_tiny_sizes(name, tmp_path):
+    """One untimed pass of each declared workload, at the self-test's sizes and seed."""
+    workloads = _bench_module("workloads")
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.setup(5, workloads.TINY[name], str(tmp_path))
+    checks = workload.check(inputs, workload.run(inputs))
+    assert checks and all(checks.values()), checks

@@ -2,13 +2,14 @@
 
 import argparse
 import json
+import re
 
 import numpy as np
 import pytest
 
 from cornerlab import EigensolverError, ResidualError, TrackingError, invariants
 from cornerlab.cli import _build_parser, main
-from cornerlab.symbol import builtin_models, save_model
+from cornerlab.symbol import builtin_models, product_hamiltonian, qwz_model, save_model
 
 
 def run(*argv):
@@ -17,7 +18,7 @@ def run(*argv):
 
 def test_bulk_spectrum_writes_csv_and_svg(tmp_path, capsys):
     code = run("bulk-spectrum", "--builtin", "h1_example",
-               "--t-grid", "16", "--out", str(tmp_path), "--no-timestamps")
+               "--t-grid", "16", "--out", str(tmp_path))
     assert code == 0
     out = capsys.readouterr().out
     assert "bulk-spectrum: 2 bands" in out
@@ -29,10 +30,14 @@ def test_bulk_spectrum_writes_csv_and_svg(tmp_path, capsys):
     assert "generated" not in svg
 
 
-def test_svg_timestamp_toggle(tmp_path):
-    assert run("bulk-spectrum", "--builtin", "h1_example", "--t-grid", "8",
-               "--out", str(tmp_path)) == 0
-    assert "<!-- generated" in (tmp_path / "bulk_spectrum.svg").read_text()
+def test_svg_has_no_timestamp(tmp_path):
+    """An SVG depends only on the flags: no generation comment, same bytes."""
+    args = ("bulk-spectrum", "--builtin", "h1_example", "--t-grid", "8")
+    assert run(*args, "--out", str(tmp_path / "a")) == 0
+    assert run(*args, "--out", str(tmp_path / "b")) == 0
+    svg = (tmp_path / "a" / "bulk_spectrum.svg").read_bytes()
+    assert svg.startswith(b"<svg") and b"<!--" not in svg
+    assert (tmp_path / "b" / "bulk_spectrum.svg").read_bytes() == svg
 
 
 def test_edge_gap_pass_and_json(tmp_path, capsys):
@@ -51,19 +56,20 @@ def test_edge_gap_pass_and_json(tmp_path, capsys):
 def test_edge_gap_fail_still_exits_zero(tmp_path, capsys):
     """A failed gap check is a valid measurement, not a tool error."""
     code = run("edge-gap", "--builtin", "h1_stacked", "--W", "12",
-               "--k-grid", "4", "--gap-threshold", "0.5", "--out", str(tmp_path))
+               "--k-grid", "4", "--out", str(tmp_path))
     assert code == 0
     assert "FAIL" in capsys.readouterr().out
     doc = json.loads((tmp_path / "edge_gap.json").read_text())
     assert doc["pass"] is False
+    assert doc["threshold"] == invariants._EDGE_GAP_FLOOR
     assert doc["alpha_min"] < 1e-8
 
 
 @pytest.mark.parametrize("args, written", [
     (("edge-gap", "--builtin", "product_example", "--W", "12", "--k-grid", "4"),
      ("edge_gap.json",)),
-    (("corner-flow", "--builtin", "product_example", "--L", "10", "--t-grid", "16",
-      "--no-timestamps"), ("corner_flow.json", "corner_flow.svg")),
+    (("corner-flow", "--builtin", "product_example", "--L", "10", "--t-grid", "16"),
+     ("corner_flow.json", "corner_flow.svg")),
     (("report", "--builtin", "product_example", "--L", "8", "--W", "8", "--t-grid", "8",
       "--k-grid", "2", "--h1", "h1_example", "--h2", "h2_example"), ("report.json",)),
 ], ids=["edge-gap", "corner-flow", "report"])
@@ -78,11 +84,15 @@ def test_json_is_deterministic(tmp_path, args, written):
 
 def test_corner_flow_small_product(tmp_path, capsys):
     code = run("corner-flow", "--builtin", "product_example", "--L", "10",
-               "--t-grid", "16", "--out", str(tmp_path), "--no-timestamps")
+               "--t-grid", "16", "--out", str(tmp_path))
     assert code == 0
-    assert "spectral flow = 1" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "spectral flow = 1" in out
     doc = json.loads((tmp_path / "corner_flow.json").read_text())
     assert doc["spectral_flow"] == 1
+    tracked, rows = map(int, re.search(r"(\d+) tracked crossings in (\d+) rows", out).groups())
+    assert tracked == sum(c["multiplicity"] for c in doc["crossings"])
+    assert rows == len(doc["crossings"])
     assert doc["edge_gaps"][0] > 0.9 and doc["edge_gaps"][1] > 0.9
     ups = [c for c in doc["crossings"]
            if c["direction"] == 1 and max(c["member_weights"], default=0) >= 0.6]
@@ -192,13 +202,6 @@ def test_model_flag_xor(tmp_path, capsys):
 
 def test_config_validation_exits_2():
     assert run("corner-flow", "--builtin", "product_example", "--t-grid", "2") == 2
-    assert run("corner-flow", "--builtin", "product_example", "--L", "12",
-               "--t-grid", "8", "--window", "nan") == 2
-    assert run("corner-flow", "--builtin", "product_example", "--L", "12",
-               "--t-grid", "8", "--window", "inf") == 4
-    for bad in ("nan", "inf", "-1"):
-        assert run("edge-gap", "--builtin", "product_example", "--W", "8",
-                   "--k-grid", "2", "--gap-threshold", bad) == 2
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -217,13 +220,13 @@ def test_lattice_sizes_refused_before_any_work(tmp_path, capsys, args, flag):
 
 MODEL = {"--model", "--builtin", "--seed"}
 SLOPES = {"--alpha", "--beta"}
-FLOW = {"--L", "--t-grid", "--window"}
+FLOW = {"--L", "--t-grid"}
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("bulk-spectrum", MODEL | {"--t-grid", "--sweep-axis", "--out", "--no-timestamps"}),
-    ("edge-gap", MODEL | SLOPES | {"--W", "--k-grid", "--gap-threshold", "--out"}),
-    ("corner-flow", MODEL | SLOPES | FLOW | {"--out", "--no-timestamps"}),
+    ("bulk-spectrum", MODEL | {"--t-grid", "--sweep-axis", "--out"}),
+    ("edge-gap", MODEL | SLOPES | {"--W", "--k-grid", "--out"}),
+    ("corner-flow", MODEL | SLOPES | FLOW | {"--out"}),
     ("verify-product", {"--h1", "--h2"} | SLOPES | FLOW | {"--out"}),
     ("report", MODEL | SLOPES | FLOW | {"--W", "--k-grid", "--h1", "--h2", "--out"}),
 ])
@@ -241,8 +244,16 @@ def test_each_subcommand_takes_only_the_flags_it_reads(command, flags):
     ("corner-flow", "--builtin", "product_example", "--mask-threshold", "1.5"),
     ("verify-product", "--h1", "h1_example", "--h2", "h2_example", "--mask-threshold", "0.6"),
     ("report", "--builtin", "product_example", "--mask-threshold", "0.6"),
+    ("corner-flow", "--builtin", "product_example", "--window", "0.3"),
+    ("verify-product", "--h1", "h1_example", "--h2", "h2_example", "--window", "0.3"),
+    ("report", "--builtin", "product_example", "--window", "0.3"),
+    ("edge-gap", "--builtin", "product_example", "--gap-threshold", "0.5"),
+    ("bulk-spectrum", "--builtin", "h1_example", "--no-timestamps"),
+    ("corner-flow", "--builtin", "product_example", "--no-timestamps"),
 ], ids=["verify-product-seed", "edge-gap-t-grid", "bulk-spectrum-L", "corner-flow-mask-threshold",
-        "verify-product-mask-threshold", "report-mask-threshold"])
+        "verify-product-mask-threshold", "report-mask-threshold", "corner-flow-window",
+        "verify-product-window", "report-window", "edge-gap-gap-threshold",
+        "bulk-spectrum-no-timestamps", "corner-flow-no-timestamps"])
 def test_a_flag_the_subcommand_does_not_read_is_refused(args):
     with pytest.raises(SystemExit) as info:
         run(*args)
@@ -326,15 +337,21 @@ def test_report_skips_corner_for_gapless_edge(tmp_path):
 
 def test_report_aborts_on_a_refusal_inside_the_corner_flow(tmp_path, capsys):
     """Only the report's own edge scan is recorded as ``corner_skipped``; a
-    GapClosedError raised by the corner flow itself (here a window wider than
-    half the measured edge gaps) ends the report with exit 4 and no file."""
-    code = run("report", "--builtin", "product_example", "--L", "8", "--W", "8",
-               "--t-grid", "8", "--k-grid", "2", "--window", "0.6",
-               "--out", str(tmp_path))
+    GapClosedError raised by the corner flow itself ends the report with
+    exit 4 and no file.  Here the report's 3 x 3 scan misses k = pi and
+    reads both gaps above 1, while the flow's own 8 x 8 scan finds 0.05."""
+    h2 = builtin_models()["h2_example"]
+    model = tmp_path / "m.json"
+    save_model(product_hamiltonian(qwz_model(1.95), h2.symbol, h2.grading), model)
+    assert run("edge-gap", "--model", str(model), "--W", "8", "--k-grid", "3",
+               "--out", str(tmp_path / "scan")) == 0
+    assert "PASS" in capsys.readouterr().out
+    code = run("report", "--model", str(model), "--L", "8", "--W", "8",
+               "--t-grid", "8", "--k-grid", "3", "--out", str(tmp_path))
     assert code == 4
     err = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert err["error"]["type"] == "GapClosedError"
-    assert "twice the tracking window" in err["error"]["message"]
+    assert "below the floor" in err["error"]["message"]
     assert not (tmp_path / "report.json").exists()
 
 
@@ -349,9 +366,8 @@ def test_model_file_roundtrip_through_cli(tmp_path, capsys):
 
 def test_seeded_perturbation_changes_spectrum(tmp_path):
     base = ("bulk-spectrum", "--builtin", "product_example", "--t-grid", "8")
-    assert run(*base, "--out", str(tmp_path / "a"), "--no-timestamps") == 0
-    assert run(*base, "--seed", "3", "--out", str(tmp_path / "b"),
-               "--no-timestamps") == 0
+    assert run(*base, "--out", str(tmp_path / "a")) == 0
+    assert run(*base, "--seed", "3", "--out", str(tmp_path / "b")) == 0
     csv_a = np.loadtxt(tmp_path / "a" / "bulk_spectrum.csv",
                        delimiter=",", skiprows=1)
     csv_b = np.loadtxt(tmp_path / "b" / "bulk_spectrum.csv",

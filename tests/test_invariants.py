@@ -371,12 +371,6 @@ def test_partial_sharpening_keeps_whole_clusters_in_reach():
 def test_corner_flow_refuses_uncertified_family(models):
     with pytest.raises(GapClosedError, match="floor"):
         cl.corner_spectral_flow(models["h1_stacked"].symbol, PAIR, 12, n_t=8)
-    with pytest.raises(GapClosedError, match="window"):
-        cl.corner_spectral_flow(models["product_example"].symbol, PAIR, 12,
-                                n_t=8, window=0.6)
-    with pytest.raises(GapClosedError, match="window"):
-        cl.corner_spectral_flow(models["product_example"].symbol, PAIR, 12,
-                                n_t=8, window=float("nan"))
     with pytest.raises(ModelError):
         cl.corner_spectral_flow(qwz_model(-1.0), PAIR, 12)
 

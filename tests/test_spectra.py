@@ -55,8 +55,15 @@ def test_dense_residual_check_covers_every_pair(monkeypatch):
 
 
 def test_eigenvalues_must_be_ascending():
-    with pytest.raises(EigensolverError):
-        SpectralSlice(np.array([1.0, 0.0]), None)
+    with pytest.raises(EigensolverError, match="ascending"):
+        SpectralSlice(np.array([1.0, 0.0]), np.eye(2))
+
+
+@pytest.mark.parametrize("vecs", [None, np.ones(2), np.eye(2)[:, :1], np.ones((2, 2, 1))],
+                         ids=["none", "1-D", "one-column-short", "3-D"])
+def test_slice_needs_one_eigenvector_column_per_eigenvalue(vecs):
+    with pytest.raises(EigensolverError, match="eigenvectors"):
+        SpectralSlice(np.array([0.0, 1.0]), vecs)
 
 
 def test_window_solver_matches_dense_at_degenerate_crossing():
@@ -421,9 +428,6 @@ def test_tracking_needs_three_points_and_sorted_grid():
     shuffled = [slices[0], slices[2], slices[1]]
     with pytest.raises(TrackingError):
         track_branches(shuffled, window=0.5)
-    bare = SpectralSlice(slices[1].eigenvalues, None, t=slices[1].t)
-    with pytest.raises(TrackingError, match="eigenvectors"):
-        track_branches([slices[0], bare, slices[2]], window=0.5)
 
 
 def test_tracking_refuses_a_grid_without_finite_t():

@@ -245,7 +245,7 @@ def cmd_edge_gap(cfg):
     threshold = invariants._EDGE_GAP_FLOOR
     gap_a, gap_b = invariants.edge_gap_scan(
         sym, pair, cfg.W, (cfg.k_grid, cfg.k_grid))
-    ok = min(gap_a, gap_b) >= threshold
+    ok = min(gap_a, gap_b) > threshold
     path = _write_json(cfg, "edge_gap.json", {
         "alpha_min": float(gap_a),
         "beta_min": float(gap_b),

@@ -14,7 +14,7 @@ residual check) or raises.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -366,24 +366,6 @@ def _clears(square, rho, g):
     return info == 0 and bool(np.isfinite(factor[0]).all())
 
 
-def _clusters_in_reach(sl, best, margin):
-    """The whole clusters of ``sl`` whose hull meets (-best - margin, best + margin).
-
-    Clusters are delimited as in :func:`spectra.sharpen_degeneracies`.  The
-    clusters left out hold only values beyond ``best`` by more than the
-    margin, and sharpening keeps each value in its cluster's hull, so they
-    cannot lower ``best``.  The kept clusters form one contiguous run, which
-    is empty when a strip whose clearance failed has no value within reach.
-    """
-    vals = sl.eigenvalues
-    splits = spectra.cluster_splits(vals)
-    first = np.concatenate(([0], splits))
-    last = np.concatenate((splits - 1, [vals.size - 1]))
-    meets = np.nonzero((vals[last] > -best - margin) & (vals[first] < best + margin))[0]
-    lo, hi = (first[meets[0]], last[meets[-1]] + 1) if meets.size else (0, 0)
-    return replace(sl, eigenvalues=vals[lo:hi], eigenvectors=sl.eigenvectors[:, lo:hi])
-
-
 def _scan_grid(grid):
     """``(nk, nt)`` from an int n (meaning ``(n, n)``) or a tuple of two ints >= 1."""
     sizes = grid if isinstance(grid, tuple) else (grid, grid)
@@ -407,22 +389,24 @@ def edge_gap_scan(sym, pair, W, grid=(16, 16)):
 
     Each side evaluates one :func:`assembly.strip_family` and visits its
     strips in grid order, C order over ``(k_edge, t)``.  A strip takes the
-    full path (``eigh`` with residual check, sharpening, weights) while no
+    full path (dense solve with residual check, sharpening, weights) while no
     minimum ``best`` is known, or unless :func:`_clears` proves, by a banded
     Cholesky of its square, that every |eigenvalue| exceeds
     ``g = max(best, DEGENERACY_CLUSTER_TOL / 2) + m``.  The margin m, 1e-10
-    times the max absolute row sum, covers the rounding gap to ``eigh`` and
-    to sharpening's Rayleigh quotients, which stay in their cluster's hull.
-    The floor of g keeps every strip with a cluster straddling 0 on the full
-    path: its eigenvalues either side of 0 lie within the cluster tolerance
-    of each other, and sharpening can rotate them to values near 0.  The
-    squares are formed from lower band storage in strip-depth order, one
-    ``k_edge`` row at a time: a hop changes the depth by at most the hopping
-    range, so the band is set by that range and the supercell width q, not
-    by W.  On the full path with ``best`` finite, only the whole degenerate
-    clusters whose hull meets (-best - m, best + m) are sharpened and
-    weighed; the rest cannot lower it.  Skipped strips are not
-    residual-checked; the minima always come from checked pairs.
+    times the max absolute row sum, covers the rounding gap to the dense
+    solve and to sharpening's Rayleigh quotients, which stay in their
+    cluster's hull.  The floor of g keeps every strip with a cluster
+    straddling 0 on the full path: its eigenvalues either side of 0 lie
+    within the cluster tolerance of each other, and sharpening can rotate
+    them to values near 0.  The squares are formed from lower band storage
+    in strip-depth order, one ``k_edge`` row at a time: a hop changes the
+    depth by at most the hopping range, so the band is set by that range and
+    the supercell width q, not by W.  On the full path,
+    ``spectra.diagonalize(op, best + m)`` solves only the whole degenerate
+    clusters whose hull meets (-best - m, best + m) (all of them while
+    ``best`` is infinite), and those are sharpened and weighed; the rest
+    cannot lower it.  Skipped strips are not residual-checked; the minima
+    always come from checked pairs.
     """
     if sym.dim != 3:
         raise ModelError(f"edge gap scan needs a dim-3 symbol, got dim {sym.dim}")
@@ -442,8 +426,8 @@ def edge_gap_scan(sym, pair, W, grid=(16, 16)):
                 if best < math.inf and _clears(square, rho, g):
                     continue
                 op = family.operator(k_edge, t)
-                sl = _clusters_in_reach(spectra.diagonalize(op), best, margin)
-                sl = spectra.sharpen_degeneracies(sl, near, matrix=op.matrix)
+                sl = spectra.sharpen_degeneracies(spectra.diagonalize(op, best + margin), near,
+                                                  matrix=op.matrix)
                 absvals = np.abs(sl.eigenvalues)
                 fallback = min(fallback, float(np.min(absvals, initial=math.inf)))
                 eligible = spectra.all_weights(sl, near) >= NEAR_WALL_WEIGHT_MIN

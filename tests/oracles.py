@@ -262,9 +262,11 @@ def oracle_edge_gap_scan(sym, pair, W, grid):
     ``grid = (nk, nt)`` product grid goes through dense ``eigh``, degeneracy
     sharpening and near-wall weights, in grid order.
 
-    This is the reference the scan must reproduce exactly; unlike the rest
-    of this module it reuses the package's assembler and spectral routines,
-    since what it checks is which strips the scan skips.
+    This is the reference the scan must reproduce within rounding (its
+    full-path strips solve only their clusters in reach, by MRRR); unlike
+    the rest of this module it reuses the package's assembler and spectral
+    routines, since what it checks is which strips the scan skips and which
+    eigenpairs it solves.
     """
     from cornerlab import assembly, geometry, spectra
     from cornerlab.invariants import NEAR_WALL_WEIGHT_MIN

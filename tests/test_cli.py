@@ -65,6 +65,15 @@ def test_edge_gap_fail_still_exits_zero(tmp_path, capsys):
     assert doc["alpha_min"] < 1e-8
 
 
+def test_edge_gap_at_the_floor_fails(tmp_path, capsys, monkeypatch):
+    """PASS means the smaller gap exceeds the floor, as for the corner flow,
+    which refuses a gap at the floor: a gap of exactly 0.1 is a FAIL."""
+    monkeypatch.setattr(invariants, "edge_gap_scan", lambda *args: (0.1, 0.5))
+    assert run("edge-gap", "--builtin", "product_example", "--out", str(tmp_path)) == 0
+    assert "FAIL" in capsys.readouterr().out
+    assert json.loads((tmp_path / "edge_gap.json").read_text())["pass"] is False
+
+
 @pytest.mark.parametrize("args, written", [
     (("edge-gap", "--builtin", "product_example", "--W", "12", "--k-grid", "4"),
      ("edge_gap.json",)),

@@ -1,6 +1,8 @@
 """Bulk invariants, edge diagnostics, corner flow, and the report."""
 
 import json
+import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -263,25 +265,32 @@ def test_clearance_skips_a_band_whose_eigenvalues_clear_g(band):
 
 
 def test_edge_scan_margin_is_the_dense_row_sum(monkeypatch):
-    """Each full-path strip is cut to its clusters in reach with the margin
-    1e-10 times the max absolute row sum of the dense strip."""
-    row_sums, margins = [], []
-    diagonalize, in_reach = spectra.diagonalize, invariants._clusters_in_reach
+    """Each full-path strip after the first of a side is solved with the
+    reach ``best`` + 1e-10 times the max absolute row sum of the dense strip,
+    ``best`` the minimum of the strips solved before it."""
+    calls, best = [], [math.inf]
+    diagonalize, sharpen = spectra.diagonalize, spectra.sharpen_degeneracies
 
-    def recorded(op):
-        row_sums.append(np.abs(op.dense()).sum(axis=1).max())
-        return diagonalize(op)
+    def recorded(op, reach=math.inf):
+        if reach == math.inf:
+            best[0] = math.inf
+        calls.append((reach, best[0], np.abs(op.dense()).sum(axis=1).max()))
+        return diagonalize(op, reach)
 
-    def recorded_reach(sl, best, margin):
-        margins.append(margin)
-        return in_reach(sl, best, margin)
+    def tracked(sl, near, matrix=None):
+        sl = sharpen(sl, near, matrix=matrix)
+        eligible = spectra.all_weights(sl, near) >= invariants.NEAR_WALL_WEIGHT_MIN
+        best[0] = min(best[0], np.min(np.abs(sl.eigenvalues[eligible]), initial=math.inf))
+        return sl
 
     monkeypatch.setattr(spectra, "diagonalize", recorded)
-    monkeypatch.setattr(invariants, "_clusters_in_reach", recorded_reach)
+    monkeypatch.setattr(spectra, "sharpen_degeneracies", tracked)
     cl.edge_gap_scan(builtin_models()["product_example"].symbol,
                      SlopePair(Slope.rational(1, 2), Slope.plus_inf()), 8, (2, 2))
-    assert len(margins) == len(row_sums) >= 2
-    assert margins == pytest.approx([1e-10 * r for r in row_sums], rel=1e-12)
+    finite = [(reach - b, rho) for reach, b, rho in calls if reach < math.inf]
+    assert len(calls) - len(finite) == 2 and len(finite) >= 2
+    # reach - best keeps only the high bits of a margin near 1e-10
+    assert [m for m, _ in finite] == pytest.approx([1e-10 * r for _, r in finite], rel=1e-5)
 
 
 def test_clearance_keeps_a_strip_with_a_cluster_straddling_zero(models, monkeypatch):
@@ -332,40 +341,59 @@ def test_clearance_refuses_a_band_with_nan():
 def test_edge_scan_takes_few_full_paths(models, monkeypatch, seed):
     """The clearance passes for most strips of a gapped product: at most 12
     of the 72 strips of a W=40, 6 by 6 scan are diagonalized.  A check that
-    never passes keeps every minimum and only shows up here."""
+    never passes keeps every minimum and only shows up here.  Only the first
+    strip of each side is solved in full; every later one returns at most 8
+    of its 160 eigenpairs."""
     h2 = models["h2_example"]
     h1 = symbol.perturb_onsite(models["h1_example"].symbol, 0.1, seed)
     sym = symbol.product_hamiltonian(h1, h2.symbol, h2.grading)
     calls, diagonalize = [], spectra.diagonalize
-    monkeypatch.setattr(spectra, "diagonalize", lambda op: calls.append(1) or diagonalize(op))
+
+    def recorded(op, reach=math.inf):
+        sl = diagonalize(op, reach)
+        calls.append((op.region, reach, sl.eigenvalues.size))
+        return sl
+
+    monkeypatch.setattr(spectra, "diagonalize", recorded)
     gap_a, gap_b = cl.edge_gap_scan(sym, PAIR, 40, (6, 6))
     assert min(gap_a, gap_b) > 0.8
     assert 2 <= len(calls) <= 12
+    sides = [[reach for _, reach, _ in side] for _, side in groupby(calls, lambda c: id(c[0]))]
+    assert len(sides) == 2
+    assert all(side[0] == math.inf and math.inf not in side[1:] for side in sides)
+    assert max(size for _, reach, size in calls if reach < math.inf) <= 8
 
 
-def _cluster_slice(vals):
-    vals = np.asarray(vals, dtype=float)
-    return spectra.SpectralSlice(vals, np.eye(vals.size, dtype=complex))
+def _diagonal_op(vals):
+    return AssembledOperator(sp.csr_matrix(np.diag(np.asarray(vals, dtype=complex))))
 
 
-def test_partial_sharpening_keeps_whole_clusters_in_reach():
+def test_partial_sharpening_keeps_whole_clusters_in_reach(monkeypatch):
     """After the first strip only the clusters whose hull meets
-    (-best - margin, best + margin) are sharpened: a cluster straddling 0
-    is kept even when both its ends lie beyond that reach, and so is a
-    cluster that only the margin brings into it; clusters are never cut."""
+    (-best - margin, best + margin) are solved and sharpened:
+    ``spectra.diagonalize(op, best + margin)`` keeps a cluster straddling 0
+    even when both its ends lie beyond that reach, and a cluster that only
+    the margin brings into it; clusters are never cut.  The 9e-5 chain runs
+    past the first interval solved, so the solve widens it; a reach that
+    holds nothing gives an empty slice."""
+    solves, zheevr = [], spectra.lapack.zheevr
+    monkeypatch.setattr(spectra.lapack, "zheevr",
+                        lambda *a, **kw: solves.append(kw["vu"]) or zheevr(*a, **kw))
     chain = np.arange(-30, 31) * 9e-5            # one cluster from -2.7e-3 to 2.7e-3
-    sl = _cluster_slice(np.concatenate(([-1.0], chain, [0.5])))
-    kept = invariants._clusters_in_reach(sl, 1e-3, 1e-10).eigenvalues
-    assert np.array_equal(kept, chain)
+    sl = spectra.diagonalize(_diagonal_op(np.concatenate(([-1.0], chain, [0.5]))), 1e-3 + 1e-10)
+    assert np.array_equal(sl.eigenvalues, chain) and len(solves) >= 2
     best, margin = 0.5, 1e-8
     inside = [best + margin / 2, best + margin / 2 + 9e-5]
-    sl = _cluster_slice([-0.7, -best - 2 * margin, 0.2, 0.2 + 5e-5] + inside + [0.7])
-    kept = invariants._clusters_in_reach(sl, best, margin).eigenvalues
-    assert np.array_equal(kept, [0.2, 0.2 + 5e-5] + inside)
-    assert np.array_equal(invariants._clusters_in_reach(sl, np.inf, margin).eigenvalues,
-                          sl.eigenvalues)
-    assert invariants._clusters_in_reach(_cluster_slice([-0.6, 0.6]), 0.5, margin) \
-        .eigenvalues.size == 0
+    op = _diagonal_op([-0.7, -best - 2 * margin, 0.2, 0.2 + 5e-5] + inside + [0.7])
+    assert np.array_equal(spectra.diagonalize(op, best + margin).eigenvalues,
+                          [0.2, 0.2 + 5e-5] + inside)
+    # an interval past the row sum 0.7 is the full solve, cut the same way
+    solves.clear()
+    assert np.array_equal(spectra.diagonalize(op, 0.695).eigenvalues,
+                          [-best - 2 * margin, 0.2, 0.2 + 5e-5] + inside)
+    assert solves == []
+    sl = spectra.diagonalize(_diagonal_op([-0.6, 0.6]), best + margin)
+    assert sl.eigenvalues.shape == (0,) and sl.eigenvectors.shape == (2, 0)
 
 
 def test_corner_flow_refuses_uncertified_family(models):

@@ -54,6 +54,50 @@ def test_dense_residual_check_covers_every_pair(monkeypatch):
         diagonalize(op)
 
 
+@pytest.mark.parametrize("reach", [float("nan"), -1.0, 0.0])
+def test_diagonalize_rejects_a_reach_that_is_not_positive(reach):
+    with pytest.raises(ValueError, match="reach"):
+        diagonalize(_random_hermitian_op(4, 0), reach)
+
+
+def test_diagonalize_infinite_reach_is_the_full_eigh():
+    op = _random_hermitian_op(60, 3)
+    full, inf = diagonalize(op), diagonalize(op, float("inf"))
+    vals, vecs = np.linalg.eigh(op.dense())
+    for sl in (full, inf):
+        assert np.array_equal(sl.eigenvalues, vals) and np.array_equal(sl.eigenvectors, vecs)
+
+
+def test_diagonalize_in_reach_checks_every_returned_pair(monkeypatch):
+    """A subset solve whose second returned eigenvector is wrong is refused;
+    the norm of the residual check is at most ||A||_2, and a LAPACK failure
+    is an EigensolverError too."""
+    op = _random_hermitian_op(60, 7)
+    dense, zheevr = op.dense(), spectra.lapack.zheevr
+    norms, check = [], spectra._check_residuals
+
+    def recorded(matrix, vals, vecs, norm_a=None):
+        norms.append(norm_a)
+        return check(matrix, vals, vecs, norm_a=norm_a)
+
+    def corrupted(*args, **kwargs):
+        vals, vecs, m, isuppz, info = zheevr(*args, **kwargs)
+        vecs = vecs.copy()
+        vecs[:, 1] = vecs[:, 2]
+        return vals, vecs, m, isuppz, info
+
+    monkeypatch.setattr(spectra, "_check_residuals", recorded)
+    assert diagonalize(op, 2.0).eigenvalues.size >= 3
+    assert 0 < norms[-1] <= np.linalg.norm(dense, 2)
+    monkeypatch.setattr(spectra.lapack, "zheevr", corrupted)
+    with pytest.raises(EigensolverError, match="residual"):
+        diagonalize(op, 2.0)
+    monkeypatch.setattr(spectra.lapack, "zheevr",
+                        lambda *a, **kw: zheevr(*a, **kw)[:4] + (3,))
+    with pytest.raises(EigensolverError, match="zheevr info 3"):
+        diagonalize(op, 2.0)
+
+
 def test_eigenvalues_must_be_ascending():
     with pytest.raises(EigensolverError, match="ascending"):
         SpectralSlice(np.array([1.0, 0.0]), np.eye(2))

@@ -81,11 +81,11 @@ class OperatorFamily:
     bandwidth: int = 0
 
     def _phases(self, k_edge, t):
-        """``exp(i (j k_edge - l t))`` per term, on a leading axis per value of an array ``t``."""
+        """``exp(i (j k_edge - l t))`` per term, on a leading axis per value of arrays (paired)."""
         if self.dim == 3 and t is None:
             raise ModelError("dim-3 symbol needs a parameter value t")
         lt = np.multiply.outer(t if self.dim == 3 else 0.0, self.terms[:, 1])
-        return np.exp(1j * (self.terms[:, 0] * k_edge - lt))
+        return np.exp(1j * (np.multiply.outer(k_edge, self.terms[:, 0]) - lt))
 
     def _checked(self, vals):
         if np.abs(vals - vals[..., self.transpose].conj()).max(initial=0) > symbol.HERMITICITY_TOL:
@@ -94,7 +94,7 @@ class OperatorFamily:
 
     def banded(self, k_edge, t=None):
         """Lower band storage ``band[..., r - c, c] = A[r, c]`` of the depth-ordered
-        strip; a 1-D array ``t`` gives one band per value, stacked on axis 0."""
+        strip; 1-D arrays ``k_edge`` or ``t`` (paired if both) give one band per value on axis 0."""
         vals = self._checked(self._phases(k_edge, t) @ self.coeffs)
         band = np.zeros(vals.shape[:-1] + (self.bandwidth + 1, self.region.dof), dtype=complex)
         band.reshape(vals.shape[:-1] + (-1,))[..., self.band_index] = vals[..., self.lower]

@@ -253,7 +253,7 @@ def _halfline_kernel_states(sym, grading, W):
     if W < 2 * sym.hopping_range()[0]:
         raise _RefineNeeded("W is below twice the hopping range")
     near = _near_wall(geometry.Slope.plus_inf(), geometry.BETA, op.region, W)
-    sl = spectra.sharpen_degeneracies(spectra.diagonalize(op), near, matrix=op.matrix)
+    sl = spectra.sharpen_degeneracies(spectra.diagonalize(op, KERNEL_TOL), near, matrix=op.matrix)
     idx = np.nonzero(np.abs(sl.eigenvalues) < KERNEL_TOL)[0]
     v = sl.eigenvectors[:, idx[_attributed(spectra.all_weights(sl, near)[idx], _RefineNeeded)]]
     form = v.conj().T @ np.kron(np.eye(W), grading.matrix) @ v
@@ -284,13 +284,13 @@ def _kernel_detail(sym, grading, W):
 def kernel_signature(sym, grading, W=40):
     """Chiral invariant read off the kernel of the half-line compression.
 
-    The compression onto sites 0..W-1 is diagonalized; eigenstates with
-    |lambda| below the kernel tolerance and at least 90% of their weight
-    on the near half represent the half-infinite kernel (their mirror
-    images at the far wall belong to the opposite compression and are
-    discarded).  The return value is minus the signature of the grading
-    form restricted to that span, which is the orientation that makes
-    the bulk-edge identity with :func:`winding_number` an equality.
+    The whole clusters of the compression onto sites 0..W-1 that meet |lambda|
+    < the kernel tolerance are solved (``spectra.diagonalize``); those below it
+    with at least 90% of their weight on the near half represent the
+    half-infinite kernel (their mirror images at the far wall belong to the
+    opposite compression and are discarded).  The return value is minus the
+    signature of the grading form restricted to that span, the orientation
+    that makes the bulk-edge identity with :func:`winding_number` an equality.
 
     ``W`` must be an integer of at least 1 that exceeds the hopping range
     (GeometryError otherwise).  If W is below twice the hopping range, or
@@ -492,33 +492,33 @@ def _offset_grid(n_t):
     return (np.arange(n_t) + 0.5) * 2 * np.pi / n_t
 
 
-def _tracked_crossings(point, n_t, window, profile, mask, rate, samples=None):
-    """Every signed zero crossing of the family ``point(t)`` over the closed t-grid.
+def _tracked_crossings(solve, n_t, window, profile, mask, rate, samples=None):
+    """Every signed zero crossing of a family over the closed t-grid.
 
-    The slice builder of both flows: every slice, refined ones included, is
-    window-solved, sharpened by ``profile`` and, if ``samples`` is a list,
-    recorded there as ``(t, eigenvalues, weights on mask)``.  Branches are
-    tracked at jump bound ``rate``.  A loop of finite Hermitian matrices ends
-    with as many eigenvalues below 0 as it started with, so the directions
-    must sum to 0; a lost or doubled crossing raises TrackingError, as does a
-    grid of fewer than 3 points, before any slice is built.  Returns ``(net,
+    ``solve(ts)``, called on the whole grid and on each refinement alone,
+    gives per angle the windowed slice and the matrix it is sharpened on by
+    ``profile`` (None if empty); if ``samples`` is a list, each slice is recorded
+    there as ``(t, eigenvalues, weights on mask)``.  Branches are tracked at
+    jump bound ``rate``.  A loop of finite Hermitian matrices ends with as
+    many eigenvalues below 0 as it started with, so the directions must sum
+    to 0; a lost or doubled crossing raises TrackingError, as does a grid of
+    fewer than 3 points, before any slice is built.  Returns ``(net,
     crossings)``: net sums the directions of the crossings whose mean endpoint
     weight on ``mask`` :func:`_attributed` counts, refusing with TrackingError.
     """
     if n_t < 3:
         raise TrackingError("need at least 3 grid points on the circle")
 
-    def build(t):
-        op = point(t)
-        sl = spectra.diagonalize_window(op, window)
-        sl = spectra.sharpen_degeneracies(sl, profile, matrix=op.matrix)
+    def build(ts):
+        slices = [spectra.sharpen_degeneracies(sl, profile, matrix=m) for sl, m in solve(ts)]
         if samples is not None:
-            samples.append((t, sl.eigenvalues.copy(), spectra.all_weights(sl, mask)))
-        return sl
+            samples.extend((t, sl.eigenvalues.copy(), spectra.all_weights(sl, mask))
+                           for t, sl in zip(ts, slices))
+        return slices
 
-    track = spectra.track_branches([build(t) for t in _offset_grid(n_t)], window,
+    track = spectra.track_branches(build(_offset_grid(n_t)), window,
                                    weight_fn=partial(spectra.localization_weight, mask=mask),
-                                   jump_bound=rate, refine_fn=build)
+                                   jump_bound=rate, refine_fn=lambda t: build(np.array([t]))[0])
     found = spectra.crossings(track)
     if total := sum(c.direction for c in found):
         raise TrackingError(
@@ -583,10 +583,14 @@ def corner_spectral_flow(sym, pair, L, n_t=64, keep_samples=False):
     def mask(site):
         return max(abs(site[0]), abs(site[1])) <= half
 
+    def solve(ts):
+        for op in (family.operator(t=t) for t in ts):
+            yield spectra.diagonalize_window(op, window), op.matrix
+
     samples = [] if keep_samples else None
     family = assembly.corner_family(sym, pair, L)
-    net, raw = _tracked_crossings(lambda t: family.operator(t=t), n_t, window, _corner_profile,
-                                  mask, _parameter_rate(sym, 2), samples)
+    net, raw = _tracked_crossings(solve, n_t, window, _corner_profile, mask,
+                                  _parameter_rate(sym, 2), samples)
     return net, FlowDetail(
         crossings=_merge_crossings(raw), window=window, grid_points=n_t, edge_gaps=(gap_a, gap_b),
         samples=sorted(samples, key=lambda row: row[0]) if samples else None)
@@ -597,11 +601,18 @@ def edge_spectral_flow(sym, W=40, n_t=64):
 
     One dim-2 strip family of slope +inf (sites 0..W-1) read at ``k_edge = -t``:
     the second axis folded to t with the orientation of the dim-3 corner fold.
-    Each slice is window-solved, its window count certified by two inertia
-    counts.  Zero crossings are tracked inside a window of 0.45 times the
-    bulk gap; those of weight >= 0.9 within depth W/2 count, those <= 0.1
-    do not, and any other raises TrackingError.  Cross-check partner of
+    Zero crossings are tracked inside a window of 0.45 times the bulk gap;
+    those of weight >= 0.9 within depth W/2 count, those <= 0.1 do not, and
+    any other raises TrackingError.  Cross-check partner of
     :func:`chern_number`: the flow equals minus that invariant.
+
+    A slice holds the eigenpairs in [-edge, edge], edge = 1.05 window: none,
+    with no operator built, when :func:`_clears` proves every |lambda| > edge
+    (the scan's bound; one :func:`_band_square` call squares the grid, a
+    refinement its own), else ``spectra.diagonalize(op, edge)``.  Its MRRR
+    interval holds each windowed eigenvalue 0.01 edge + 2 cluster tolerances
+    inside, so a backward-stable solve neither drops nor invents one; every
+    returned pair is residual-checked.
 
     ``W`` and ``n_t`` must be integers of at least 1 (GeometryError
     otherwise); ``n_t`` 1 and 2 raise TrackingError, since it takes 3
@@ -616,8 +627,17 @@ def edge_spectral_flow(sym, W=40, n_t=64):
     slope = geometry.Slope.plus_inf()
     family = assembly.strip_family(sym, slope, geometry.BETA, W)
     near = _near_wall(slope, geometry.BETA, family.region, W)
-    return _tracked_crossings(lambda t: family.operator(-t, t), n_t, window, near, near,
-                              _parameter_rate(sym, 1))[0]
+    empty = np.empty((family.region.dof, 0), dtype=complex)
+
+    def solve(ts):
+        for t, square, rho in zip(ts, *_band_square(family.banded(-ts, ts))):
+            if _clears(square, rho, 1.05 * window):
+                yield spectra.SpectralSlice(np.empty(0), empty, float(t), family.region), None
+            else:
+                op = family.operator(-t, t)
+                yield spectra.diagonalize(op, 1.05 * window), op.matrix
+
+    return _tracked_crossings(solve, n_t, window, near, near, _parameter_rate(sym, 1))[0]
 
 
 # ---------------------------------------------------------------------------

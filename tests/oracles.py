@@ -300,8 +300,8 @@ def oracle_edge_spectral_flow(sym, W, n_t):
     Returns the net flow and the tracked crossings, whose directions must sum
     to 0 around the loop; a crossing it cannot attribute raises TrackingError.
     Like ``oracle_edge_gap_scan`` it reuses the package's branch linking,
-    since what it checks is the strip family and the window solver that
-    replace this loop.
+    since what it checks is the strip family and the strip solve (banded
+    Cholesky clearance, then MRRR near 0) that replace this loop.
     """
     from cornerlab import assembly, invariants, spectra
     from cornerlab.errors import TrackingError

@@ -233,6 +233,28 @@ def test_strip_family_matches_site_pair_oracle(name):
                 assert op.t == t
 
 
+@pytest.mark.parametrize("name", ["product_example", "h1_example"])
+@pytest.mark.parametrize("text, which", [("inf", "beta"), ("0", "alpha")])
+def test_banded_pairs_k_edge_arrays_with_t(name, text, which):
+    """Arrays ``k_edge`` and ``t`` of one length give the band of each pair,
+    bit for bit; a scalar ``k_edge`` with an array ``t``, as the edge-gap scan
+    reads a row, gives exactly sum_T exp(i (j k_edge - l t)) coeffs[T] placed
+    at ``band_index``."""
+    sym = builtin_models()[name].symbol
+    family = strip_family(sym, Slope.parse(text), which, 6)
+    ts = np.array([0.0, 0.7, 2.3, 5.9])
+    bands = family.banded(-ts, ts)
+    assert bands.shape == (ts.size, family.bandwidth + 1, family.region.dof)
+    for i, t in enumerate(ts):
+        assert np.array_equal(bands[i], family.banded(-t, t))
+    if sym.dim == 3:
+        j, l = family.terms.T
+        vals = np.exp(1j * (j * 1.1 - np.multiply.outer(ts, l))) @ family.coeffs
+        want = np.zeros_like(bands)
+        want.reshape(ts.size, -1)[:, family.band_index] = vals[:, family.lower]
+        assert np.array_equal(family.banded(1.1, ts), want)
+
+
 @pytest.mark.parametrize("text, which", [
     ("0", "alpha"), ("0", "beta"), ("1/2", "alpha"), ("1/2", "beta"), ("-3/2", "alpha"),
     ("-3/2", "beta"), ("2/5", "alpha"), ("2/5", "beta"), ("inf", "beta"), ("-inf", "alpha")])

@@ -6,6 +6,7 @@ from itertools import groupby
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -632,13 +633,16 @@ def test_corner_flow_builds_one_region_and_one_ordering(monkeypatch):
 
 
 def test_edge_flow_builds_one_strip_family_and_tracks_finite_t(monkeypatch, models):
-    """An edge flow builds one strip region, MMD-orders its pattern once,
-    never folds or compresses per angle, and tracks a finite grid."""
-    calls = {"strip_region": 0, "MMD_AT_PLUS_A": 0, "NATURAL": 0, "assemble_halfline": 0,
-             "partial_bloch": 0}
-    strip_region, splu = geometry.strip_region, spectra.spla.splu
+    """An edge flow builds one strip family, never folds or compresses per
+    angle and never calls SuperLU: every slice, grid and refinement, takes
+    one banded Cholesky clearance, and only the slices it does not clear are
+    solved by ``spectra.diagonalize``.  It tracks a finite grid."""
+    calls = {"strip_family": 0, "strip_region": 0, "splu": 0, "zpbtrf": 0, "refine": 0,
+             "assemble_halfline": 0, "partial_bloch": 0}
+    events, seen = [], {}
+    zpbtrf, clears, diagonalize = (scipy.linalg.lapack.zpbtrf, invariants._clears,
+                                   spectra.diagonalize)
     track_branches, crossings = spectra.track_branches, spectra.crossings
-    seen = {}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -646,31 +650,49 @@ def test_edge_flow_builds_one_strip_family_and_tracks_finite_t(monkeypatch, mode
             return fn(*args, **kwargs)
         return wrapper
 
-    def counted_splu(*args, permc_spec, **kwargs):
-        calls[permc_spec] += 1
-        return splu(*args, permc_spec=permc_spec, **kwargs)
+    def seen_clears(*args):
+        events.append(clears(*args))
+        return events[-1]
 
-    def seen_track(slices, *args, **kwargs):
+    def seen_diagonalize(op, *args):
+        events.append(("diagonalize", op.t))
+        return diagonalize(op, *args)
+
+    def seen_track(slices, *args, refine_fn, **kwargs):
         seen["grid"] = [sl.t for sl in slices]
-        return track_branches(slices, *args, **kwargs)
+        return track_branches(slices, *args, refine_fn=counted("refine", refine_fn), **kwargs)
 
     def seen_crossings(track):
         seen["crossings"] = crossings(track)
         return seen["crossings"]
 
-    monkeypatch.setattr(geometry, "strip_region", counted("strip_region", strip_region))
-    monkeypatch.setattr(spectra.spla, "splu", counted_splu)
-    for module, name in ((assembly, "assemble_halfline"), (invariants, "partial_bloch"),
+    for module, name in ((assembly, "strip_family"), (geometry, "strip_region"),
+                         (spectra.spla, "splu"), (scipy.linalg.lapack, "zpbtrf"),
+                         (assembly, "assemble_halfline"), (invariants, "partial_bloch"),
                          (symbol, "partial_bloch")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(invariants, "_clears", seen_clears)
+    monkeypatch.setattr(spectra, "diagonalize", seen_diagonalize)
     monkeypatch.setattr(spectra, "track_branches", seen_track)
     monkeypatch.setattr(spectra, "crossings", seen_crossings)
-    assert invariants.edge_spectral_flow(models["h1_example"].symbol, W=12, n_t=12) == 1
-    assert calls["strip_region"] == 1 and calls["MMD_AT_PLUS_A"] == 1
-    assert calls["NATURAL"] >= 2 * 12 - 1
-    assert calls["assemble_halfline"] == 0 and calls["partial_bloch"] == 0
+    h1 = models["h1_example"].symbol
+    assert invariants.edge_spectral_flow(h1, W=12, n_t=12) == 1
     assert len(seen["grid"]) == 12 and np.all(np.isfinite(np.array(seen["grid"], dtype=float)))
     assert seen["crossings"] and all(np.isfinite(c.t) for c in seen["crossings"])
+    # No overlap passes 1.01: every interval with a windowed state is bisected
+    # _MAX_REFINE times before the flow refuses, so refinements are built too.
+    monkeypatch.setattr(spectra, "OVERLAP_MIN", 1.01)
+    with pytest.raises(TrackingError, match="ambiguous"):
+        invariants.edge_spectral_flow(h1, W=12, n_t=12)
+    assert calls["strip_family"] == calls["strip_region"] == 2 and calls["splu"] == 0
+    assert calls["assemble_halfline"] == 0 and calls["partial_bloch"] == 0
+    clearances = [e for e in events if e is True or e is False]
+    assert calls["zpbtrf"] == len(clearances) == 2 * 12 + calls["refine"]
+    assert calls["refine"] >= spectra._MAX_REFINE
+    # Every solve follows the clearance of its own slice, which failed.
+    solved = [i for i, e in enumerate(events) if e is False]
+    assert [i + 1 for i in solved] == [i for i, e in enumerate(events) if e not in (True, False)]
+    assert 0 < len(solved) < len(clearances)
 
 
 def test_lost_crossing_breaks_zero_total_flow(monkeypatch, models):
@@ -686,13 +708,16 @@ def test_lost_crossing_breaks_zero_total_flow(monkeypatch, models):
 @pytest.mark.parametrize("n_t", [1, 2])
 def test_flows_refuse_short_grids_before_any_slice(monkeypatch, models, n_t):
     """A t-grid of 1 or 2 points cannot close the circle: both flows raise
-    TrackingError before a single slice is window-solved."""
+    TrackingError before a single slice is window-solved, or an edge slice
+    squared."""
     def no_slice(*args, **kwargs):
         raise AssertionError("a slice was built")
 
     monkeypatch.setattr(spectra, "diagonalize_window", no_slice)
     with pytest.raises(TrackingError, match="at least 3 grid points"):
         invariants.corner_spectral_flow(models["product_example"].symbol, PAIR, 8, n_t=n_t)
+    monkeypatch.setattr(spectra, "diagonalize", no_slice)
+    monkeypatch.setattr(invariants, "_band_square", no_slice)
     with pytest.raises(TrackingError, match="at least 3 grid points"):
         invariants.edge_spectral_flow(models["h1_example"].symbol, W=12, n_t=n_t)
     with pytest.raises(GeometryError):
@@ -712,15 +737,19 @@ def test_attribution_rule_boundaries():
 def _rotating_pair(phase):
     """Two sites, H(t) = cos t (cos(t - phase) sz + sin(t - phase) sx): the
     states crossing 0 at t = pi/2 and 3pi/2 sit on one site each for
-    phase = pi/2, and spread evenly over both for phase = 0."""
+    phase = pi/2, and spread evenly over both for phase = 0.  Returns the
+    slice solve of :func:`invariants._tracked_crossings`, window-solved at
+    0.5 as the corner flow solves its slices."""
     region = geometry.LatticeRegion([(0, 0), (1, 0)], 1)
     sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
 
-    def point(t):
-        h = np.cos(t) * (np.cos(t - phase) * sz + np.sin(t - phase) * sx)
-        return AssembledOperator(sp.csr_matrix(h.astype(complex)), region=region, t=t)
+    def solve(ts):
+        for t in ts:
+            h = np.cos(t) * (np.cos(t - phase) * sz + np.sin(t - phase) * sx)
+            op = AssembledOperator(sp.csr_matrix(h.astype(complex)), region=region, t=t)
+            yield spectra.diagonalize_window(op, 0.5), op.matrix
 
-    return point
+    return solve
 
 
 @pytest.mark.parametrize("mask, net", [

@@ -269,6 +269,53 @@ def _edge_flow_cases():
     return cases
 
 
+def _strip_window_cases():
+    h1 = builtin_models()["h1_example"].symbol
+    cases = {"h1_example": (h1, 40, False), "h1_example_refined": (h1, 40, True),
+             "qwz_-1.5": (qwz_model(-1.5), 40, False),
+             "qwz_-1.9_W8": (qwz_model(-1.9), 8, False)}
+    cases.update({f"perturbed_{seed}": (perturb_onsite(h1, 0.1, seed), 40, False)
+                  for seed in range(201, 206)})
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_strip_window_cases()))
+def test_strip_windows_match_sylvester_inertia(monkeypatch, name):
+    """Every slice the edge flow builds, grid and refinements, holds as many
+    eigenvalues in [-edge, edge] as Sylvester inertia counts on the same
+    strip: two symmetric-mode LDL^H factorizations at -edge and +edge.  A
+    slice the banded Cholesky cleared without a solve counts 0.  With no
+    overlap passing ``OVERLAP_MIN``, every interval holding a windowed state
+    is bisected until the flow refuses, so refinements are checked too."""
+    sym, W, refine = _strip_window_cases()[name]
+    tracked, slices = cl.invariants._tracked_crossings, []
+
+    def kept_tracked(solve, n_t, window, *args):
+        def kept_solve(ts):
+            for t, (sl, matrix) in zip(ts, solve(ts)):
+                slices.append((float(t), sl, matrix is None))
+                yield sl, matrix
+        slices.append(1.05 * window)
+        return tracked(kept_solve, n_t, window, *args)
+
+    monkeypatch.setattr(cl.invariants, "_tracked_crossings", kept_tracked)
+    if refine:
+        monkeypatch.setattr(cl.spectra, "OVERLAP_MIN", 1.01)
+        with pytest.raises(cl.TrackingError, match="ambiguous"):
+            cl.edge_spectral_flow(sym, W=W)
+    else:
+        cl.edge_spectral_flow(sym, W=W)
+    edge, slices = slices[0], slices[1:]
+    family = cl.assembly.strip_family(sym, Slope.plus_inf(), "beta", W)
+    assert len(slices) > 64 if refine else len(slices) == 64
+    for t, sl, cleared in slices:
+        op = family.operator(-t, t)
+        count = (cl.spectra._count_below(op.pattern, op.matrix.data, edge)
+                 - cl.spectra._count_below(op.pattern, op.matrix.data, -edge))
+        assert np.count_nonzero(np.abs(sl.eigenvalues) <= edge) == count
+        assert count == 0 or not cleared
+
+
 @pytest.mark.parametrize("name", sorted(_edge_flow_cases()))
 def test_edge_flow_matches_dense_halfline_loop(monkeypatch, name):
     """The window-solved strip-family flow finds the crossings of the dense

@@ -6,7 +6,7 @@ production pipeline can be checked against an implementation that shares
 none of its code.  There are two exceptions: ``oracle_edge_gap_scan``, the
 unscreened loop kept as the reference for the screened edge scan, and
 ``oracle_edge_spectral_flow``, the per-angle dense loop kept as the
-reference for the window-solved edge flow.  Kept in the test tree on
+reference for the strip-solved edge flow.  Kept in the test tree on
 purpose; nothing in the package imports this module.
 """
 

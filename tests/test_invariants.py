@@ -640,8 +640,7 @@ def test_edge_flow_builds_one_strip_family_and_tracks_finite_t(monkeypatch, mode
     calls = {"strip_family": 0, "strip_region": 0, "splu": 0, "zpbtrf": 0, "refine": 0,
              "assemble_halfline": 0, "partial_bloch": 0}
     events, seen = [], {}
-    zpbtrf, clears, diagonalize = (scipy.linalg.lapack.zpbtrf, invariants._clears,
-                                   spectra.diagonalize)
+    clears, diagonalize = invariants._clears, spectra.diagonalize
     track_branches, crossings = spectra.track_branches, spectra.crossings
 
     def counted(name, fn):

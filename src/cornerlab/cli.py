@@ -261,8 +261,7 @@ def cmd_edge_gap(cfg):
 def cmd_corner_flow(cfg):
     sym, _ = _load_model(cfg, symbol.builtin_models())
     pair = _slope_pair(cfg)
-    net, detail = invariants.corner_spectral_flow(
-        sym, pair, cfg.L, n_t=cfg.t_grid, keep_samples=True)
+    net, detail = invariants.corner_spectral_flow(sym, pair, cfg.L, n_t=cfg.t_grid)
     path = _write_json(cfg, "corner_flow.json", {
         "spectral_flow": int(net),
         "window": float(detail.window),

@@ -28,7 +28,6 @@ GAP_FLOOR = 1e-8
 INT_RESIDUAL_TOL = 1e-6
 KERNEL_TOL = 1e-6
 ATTRIBUTION_MIN = 0.9
-NEAR_WALL_WEIGHT_MIN = 0.6
 _EDGE_GAP_FLOOR = 0.1
 _FLOW_EDGE_W = 16
 _FLOW_EDGE_GRID = (8, 8)
@@ -377,15 +376,15 @@ def _scan_grid(grid):
 
 
 def edge_gap_scan(sym, pair, W, grid=(16, 16)):
-    """Smallest near-wall |eigenvalue| of both edge compressions.
+    """Smallest |eigenvalue| of both edge compressions, far-wall states aside.
 
     Both strips are diagonalized over an ``(k_edge, t)`` product grid of
     ``grid = (nk, nt)`` integers >= 1 (an int n means ``(n, n)``; anything
-    else raises ModelError).  Only eigenstates carrying at least 60% of
-    their weight within depth W/2 of the wall count: the far wall of a
-    finite strip hosts the spectrum of the opposite compression and must
-    not contaminate the minimum.  Returns ``(min_alpha, min_beta)``; a
-    small value is a valid answer (the gap assumption fails), never an error.
+    else raises ModelError).  A state counts unless :func:`_attributed`'s
+    rule gives it to the far wall (1 - weight within depth W/2 >= 0.9), which
+    hosts the spectrum of the opposite compression; bulk states count.
+    Returns ``(min_alpha, min_beta)``; a small value is a valid answer (the
+    gap assumption fails), never an error.
 
     Each side evaluates one :func:`assembly.strip_family` and visits its
     strips in grid order, C order over ``(k_edge, t)``.  A strip takes the
@@ -406,7 +405,9 @@ def edge_gap_scan(sym, pair, W, grid=(16, 16)):
     clusters whose hull meets (-best - m, best + m) (all of them while
     ``best`` is infinite), and those are sharpened and weighed; the rest
     cannot lower it.  Skipped strips are not residual-checked; the minima
-    always come from checked pairs.
+    always come from checked pairs.  The first strip of each side, solved in
+    full, makes ``best`` finite: its weights sum to the near-wall dof count,
+    at least half the dofs, so some state weighs at least 0.5 and counts.
     """
     if sym.dim != 3:
         raise ModelError(f"edge gap scan needs a dim-3 symbol, got dim {sym.dim}")
@@ -417,7 +418,7 @@ def edge_gap_scan(sym, pair, W, grid=(16, 16)):
     for which, slope in ((geometry.ALPHA, pair.alpha), (geometry.BETA, pair.beta)):
         family = assembly.strip_family(sym, slope, which, W)
         near = _near_wall(slope, which, family.region, W)
-        best = fallback = math.inf
+        best = math.inf
         for k_edge in k_vals:
             squares, rhos = _band_square(family.banded(k_edge, t_vals))
             for t, square, rho in zip(t_vals, squares, rhos):
@@ -428,15 +429,9 @@ def edge_gap_scan(sym, pair, W, grid=(16, 16)):
                 op = family.operator(k_edge, t)
                 sl = spectra.sharpen_degeneracies(spectra.diagonalize(op, best + margin), near,
                                                   matrix=op.matrix)
-                absvals = np.abs(sl.eigenvalues)
-                fallback = min(fallback, float(np.min(absvals, initial=math.inf)))
-                eligible = spectra.all_weights(sl, near) >= NEAR_WALL_WEIGHT_MIN
-                if np.any(eligible):
-                    best = min(best, float(np.min(absvals[eligible])))
-        # A strip whose states all hug the far wall (or spread evenly) gives
-        # no attributable minimum; the unfiltered spectrum still bounds the
-        # edge gap from below, so report that instead of infinity.
-        minima.append(best if best < math.inf else fallback)
+                counted = ~(1 - spectra.all_weights(sl, near) >= ATTRIBUTION_MIN)
+                best = min(best, float(np.min(np.abs(sl.eigenvalues[counted]), initial=math.inf)))
+        minima.append(best)
     return minima[0], minima[1]
 
 
@@ -456,13 +451,14 @@ class FlowCrossing:
 
 @dataclass
 class FlowDetail:
-    """Every crossing the flow counter saw, attributed to the corner or not."""
+    """Every crossing the flow counter saw, attributed to the corner or not,
+    and (t, eigenvalues, weights on the mask) of every solved slice by t."""
 
     crossings: list
     window: float
     grid_points: int
     edge_gaps: tuple
-    samples: list | None = None
+    samples: list
 
 
 def _merge_crossings(raw):
@@ -492,28 +488,28 @@ def _offset_grid(n_t):
     return (np.arange(n_t) + 0.5) * 2 * np.pi / n_t
 
 
-def _tracked_crossings(solve, n_t, window, profile, mask, rate, samples=None):
+def _tracked_crossings(solve, n_t, window, mask, rate):
     """Every signed zero crossing of a family over the closed t-grid.
 
     ``solve(ts)``, called on the whole grid and on each refinement alone,
-    gives per angle the windowed slice and the matrix it is sharpened on by
-    ``profile`` (None if empty); if ``samples`` is a list, each slice is recorded
-    there as ``(t, eigenvalues, weights on mask)``.  Branches are tracked at
-    jump bound ``rate``.  A loop of finite Hermitian matrices ends with as
-    many eigenvalues below 0 as it started with, so the directions must sum
-    to 0; a lost or doubled crossing raises TrackingError, as does a grid of
-    fewer than 3 points, before any slice is built.  Returns ``(net,
-    crossings)``: net sums the directions of the crossings whose mean endpoint
-    weight on ``mask`` :func:`_attributed` counts, refusing with TrackingError.
+    yields per angle the finished (windowed and sharpened) slice.  Branches
+    are tracked at jump bound ``rate``.  A loop of finite Hermitian matrices
+    ends with as many eigenvalues below 0 as it started with, so the
+    directions must sum to 0; a lost or doubled crossing raises
+    TrackingError, as does a grid of fewer than 3 points, before any slice
+    is built.  Returns ``(net, crossings, samples)``: net sums the directions
+    of the crossings whose mean endpoint weight on ``mask``
+    :func:`_attributed` counts, refusing with TrackingError, and samples
+    holds ``(t, eigenvalues, weights on mask)`` of every slice, sorted by t.
     """
     if n_t < 3:
         raise TrackingError("need at least 3 grid points on the circle")
+    samples = []
 
     def build(ts):
-        slices = [spectra.sharpen_degeneracies(sl, profile, matrix=m) for sl, m in solve(ts)]
-        if samples is not None:
-            samples.extend((t, sl.eigenvalues.copy(), spectra.all_weights(sl, mask))
-                           for t, sl in zip(ts, slices))
+        slices = list(solve(ts))
+        samples.extend((t, sl.eigenvalues.copy(), spectra.all_weights(sl, mask))
+                       for t, sl in zip(ts, slices))
         return slices
 
     track = spectra.track_branches(build(_offset_grid(n_t)), window,
@@ -524,7 +520,8 @@ def _tracked_crossings(solve, n_t, window, profile, mask, rate, samples=None):
         raise TrackingError(
             f"tracked crossings sum to {total:+d} around a closed loop, not 0")
     counts = _attributed([c.weight for c in found], TrackingError)
-    return sum(c.direction for c, n in zip(found, counts) if n), found
+    net = sum(c.direction for c, n in zip(found, counts) if n)
+    return net, found, sorted(samples, key=lambda row: row[0])
 
 
 def _corner_profile(site):
@@ -534,7 +531,7 @@ def _corner_profile(site):
     return math.exp(-(abs(site[0]) + 1.618 * abs(site[1])) / 4.0)
 
 
-def corner_spectral_flow(sym, pair, L, n_t=64, keep_samples=False):
+def corner_spectral_flow(sym, pair, L, n_t=64):
     """Net spectral flow of the corner-compressed family over the t circle.
 
     Parameters
@@ -548,9 +545,6 @@ def corner_spectral_flow(sym, pair, L, n_t=64, keep_samples=False):
         Closed t-grid size, an integer of at least 1 (GeometryError
         otherwise) and of at least 3 (TrackingError for 1 and 2); samples
         sit at half-step offsets.
-    keep_samples : bool
-        Record (t, eigenvalues, weights) for every diagonalized point,
-        refinements included, in ``FlowDetail.samples`` (for plotting).
 
     Returns
     -------
@@ -558,7 +552,9 @@ def corner_spectral_flow(sym, pair, L, n_t=64, keep_samples=False):
         Net signed count of zero crossings (up = +1) of corner branches,
         plus per-crossing detail.  A crossing counts with weight >= 0.9 on
         the max-norm ball of radius L/2 around the wedge vertex, not with
-        <= 0.1; a weight between raises TrackingError.
+        <= 0.1; a weight between raises TrackingError.  ``samples`` holds
+        (t, eigenvalues, weights on that ball) of every solved slice,
+        refinements included, sorted by t (for plotting).
 
     The edge gaps are scanned first, at depth 16 on an 8 x 8 grid; if the
     smaller one does not exceed the edge-gap floor 0.1, the family is not
@@ -585,15 +581,12 @@ def corner_spectral_flow(sym, pair, L, n_t=64, keep_samples=False):
 
     def solve(ts):
         for op in (family.operator(t=t) for t in ts):
-            yield spectra.diagonalize_window(op, window), op.matrix
+            yield spectra.sharpen_degeneracies(spectra.diagonalize_window(op, window),
+                                               _corner_profile, matrix=op.matrix)
 
-    samples = [] if keep_samples else None
     family = assembly.corner_family(sym, pair, L)
-    net, raw = _tracked_crossings(solve, n_t, window, _corner_profile, mask,
-                                  _parameter_rate(sym, 2), samples)
-    return net, FlowDetail(
-        crossings=_merge_crossings(raw), window=window, grid_points=n_t, edge_gaps=(gap_a, gap_b),
-        samples=sorted(samples, key=lambda row: row[0]) if samples else None)
+    net, raw, samples = _tracked_crossings(solve, n_t, window, mask, _parameter_rate(sym, 2))
+    return net, FlowDetail(_merge_crossings(raw), window, n_t, (gap_a, gap_b), samples)
 
 
 def edge_spectral_flow(sym, W=40, n_t=64):
@@ -632,12 +625,13 @@ def edge_spectral_flow(sym, W=40, n_t=64):
     def solve(ts):
         for t, square, rho in zip(ts, *_band_square(family.banded(-ts, ts))):
             if _clears(square, rho, 1.05 * window):
-                yield spectra.SpectralSlice(np.empty(0), empty, float(t), family.region), None
+                yield spectra.SpectralSlice(np.empty(0), empty, float(t), family.region)
             else:
                 op = family.operator(-t, t)
-                yield spectra.diagonalize(op, 1.05 * window), op.matrix
+                yield spectra.sharpen_degeneracies(spectra.diagonalize(op, 1.05 * window), near,
+                                                   matrix=op.matrix)
 
-    return _tracked_crossings(solve, n_t, window, near, near, _parameter_rate(sym, 1))[0]
+    return _tracked_crossings(solve, n_t, window, near, _parameter_rate(sym, 1))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -47,12 +47,10 @@ class SpectralSlice:
                 "eigenvectors must be a 2-D array with one column per eigenvalue")
 
 
-def _check_residuals(matrix, vals, vecs, norm_a=None):
+def _check_residuals(matrix, vals, vecs, norm_a):
     """Residual contract ||A v - lambda v|| <= tol * ||A|| on every pair."""
     if vals.size == 0:
         return
-    if norm_a is None:
-        norm_a = np.max(np.abs(vals))
     norm_a = max(norm_a, 1e-300)
     resid = matrix @ vecs - vecs * vals
     worst = np.max(np.linalg.norm(resid, axis=0))
@@ -77,8 +75,8 @@ def diagonalize(op, reach=math.inf):
 
     Eigensolver failures surface as EigensolverError; every returned pair
     satisfies the residual contract of ``_check_residuals``, with ||A|| taken
-    as the largest returned |eigenvalue| (and, for a finite reach, at least
-    the largest column norm of A): never more than ||A||_2.
+    as the larger of the largest returned |eigenvalue| and the largest column
+    norm of A: never more than ||A||_2.
     """
     if not reach > 0:
         raise ValueError(f"reach must be positive, got {reach}")
@@ -99,9 +97,6 @@ def diagonalize(op, reach=math.inf):
             vals, vecs = np.linalg.eigh(dense)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
-        if reach == math.inf:
-            _check_residuals(dense, vals, vecs)
-            return SpectralSlice(vals, vecs, op.t, op.region)
     labels = np.isin(np.arange(vals.size), cluster_splits(vals)).cumsum()  # cluster numbers
     keep = ((vals[np.searchsorted(labels, labels, side="right") - 1] > -reach)  # hull top
             & (vals[np.searchsorted(labels, labels)] < reach))  # hull bottom
@@ -295,6 +290,8 @@ def localization_weight(sl, eigen_index, mask):
 
 def all_weights(sl, mask):
     """Localization weights of every eigenvector in the slice at once."""
+    if sl.eigenvalues.size == 0:  # the mask is a per-site Python loop
+        return np.empty(0)
     mvec = mask_vector(sl.region, mask)
     dens = np.abs(sl.eigenvectors) ** 2
     return (mvec @ dens) / np.sum(dens, axis=0)

@@ -260,16 +260,17 @@ def oracle_strip_matrix(sym, slope, which, W, k_edge, t=None):
 def oracle_edge_gap_scan(sym, pair, W, grid):
     """``edge_gap_scan`` without skipping a strip: every strip of the
     ``grid = (nk, nt)`` product grid goes through dense ``eigh``, degeneracy
-    sharpening and near-wall weights, in grid order.
+    sharpening and near-wall weights, in grid order.  A state counts unless
+    the attribution rule gives it to the far wall (1 - weight >= 0.9).
 
     This is the reference the scan must reproduce within rounding (its
     full-path strips solve only their clusters in reach, by MRRR); unlike
-    the rest of this module it reuses the package's assembler and spectral
-    routines, since what it checks is which strips the scan skips and which
-    eigenpairs it solves.
+    the rest of this module it reuses the package's assembler, spectral
+    routines and attribution threshold, since what it checks is which strips
+    the scan skips and which eigenpairs it solves, not which states count.
     """
     from cornerlab import assembly, geometry, spectra
-    from cornerlab.invariants import NEAR_WALL_WEIGHT_MIN
+    from cornerlab.invariants import ATTRIBUTION_MIN
 
     nk, nt = grid
     minima = []
@@ -277,18 +278,15 @@ def oracle_edge_gap_scan(sym, pair, W, grid):
         def near(site, which=which, slope=slope):
             return geometry.strip_depth(slope, which, site) < W / 2
 
-        best = fallback = math.inf
+        best = math.inf
         for k_edge in 2 * np.pi * np.arange(nk) / nk:
             for t in 2 * np.pi * np.arange(nt) / nt:
                 op = assembly.assemble_edge_strip(sym, slope, which, W, k_edge, t=t)
                 sl = spectra.sharpen_degeneracies(
                     spectra.diagonalize(op), near, matrix=op.matrix)
-                absvals = np.abs(sl.eigenvalues)
-                fallback = min(fallback, float(np.min(absvals)))
-                eligible = spectra.all_weights(sl, near) >= NEAR_WALL_WEIGHT_MIN
-                if np.any(eligible):
-                    best = min(best, float(np.min(absvals[eligible])))
-        minima.append(best if best < math.inf else fallback)
+                counted = ~(1 - spectra.all_weights(sl, near) >= ATTRIBUTION_MIN)
+                best = min(best, float(np.min(np.abs(sl.eigenvalues[counted]), initial=math.inf)))
+        minima.append(best)
     return minima[0], minima[1]
 
 

@@ -139,6 +139,29 @@ def test_edge_gap_scan_flags_gapless_stacked_edge(models):
         cl.edge_gap_scan(qwz_model(-1.0), PAIR, 16, (6, 6))
 
 
+def _dispersive_orbital_model(hop):
+    """On-site diag(1, 0.2) and diag(0, hop) on the hops along axes 0 and 1:
+    the second orbital's bulk band 0.2 + 2 hop (cos k1 + cos k2) bottoms out
+    at 0.2 - 4 hop at (pi, pi), and its states spread over the whole strip."""
+    blocks = {(0, 0, 0): np.diag([1.0, 0.2])}
+    blocks.update({off: np.diag([0.0, hop])
+                   for off in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))})
+    return HamiltonianSymbol(3, 2, blocks)
+
+
+def test_edge_gap_scan_counts_bulk_states():
+    """The spectrum of an edge compression holds the bulk bands: a bulk state
+    weighs about 0.5 near the wall and must count, so a bulk band touching 0
+    closes both edge gaps and the corner flow refuses.  With the band at
+    0.12 the scan reads its nearest grid value, not the flat band at 1."""
+    touching = _dispersive_orbital_model(0.05)
+    assert max(cl.edge_gap_scan(touching, PAIR, 16, (4, 4))) <= 0.002
+    with pytest.raises(GapClosedError, match="floor"):
+        cl.corner_spectral_flow(touching, PAIR, 8, n_t=16)
+    gaps = cl.edge_gap_scan(_dispersive_orbital_model(0.02), PAIR, 16, (4, 4))
+    assert gaps == pytest.approx((0.1207, 0.1207), abs=1e-4)
+
+
 @pytest.mark.parametrize("grid", [(0, 0), (0, 4), 0, (-1, 3), True, (True, 4), (4, 4, 4), (4,)])
 def test_edge_gap_scan_refuses_empty_grid(models, grid, monkeypatch):
     """An empty grid would report an infinite gap; it is refused instead,
@@ -280,8 +303,8 @@ def test_edge_scan_margin_is_the_dense_row_sum(monkeypatch):
 
     def tracked(sl, near, matrix=None):
         sl = sharpen(sl, near, matrix=matrix)
-        eligible = spectra.all_weights(sl, near) >= invariants.NEAR_WALL_WEIGHT_MIN
-        best[0] = min(best[0], np.min(np.abs(sl.eigenvalues[eligible]), initial=math.inf))
+        counted = ~(1 - spectra.all_weights(sl, near) >= invariants.ATTRIBUTION_MIN)
+        best[0] = min(best[0], np.min(np.abs(sl.eigenvalues[counted]), initial=math.inf))
         return sl
 
     monkeypatch.setattr(spectra, "diagonalize", recorded)
@@ -411,6 +434,32 @@ def test_corner_flow_additive_under_direct_sum(models):
     net, detail = cl.corner_spectral_flow(padded, PAIR, 16, n_t=32)
     assert net == 1
     assert detail.edge_gaps is not None and min(detail.edge_gaps) > 0.9
+
+
+def test_corner_flow_samples_every_solved_slice(monkeypatch, models):
+    """At its default call the corner flow returns (t, eigenvalues, weights)
+    of every solved slice, a refinement included, sorted by t; there is no
+    ``keep_samples`` switch."""
+    solved, window_solve, track_branches = [], spectra.diagonalize_window, spectra.track_branches
+
+    def recorded(op, window):
+        solved.append(op.t)
+        return window_solve(op, window)
+
+    def refined_once(slices, *args, refine_fn, **kwargs):
+        refine_fn(0.1)  # before the first grid point, solved after the grid
+        return track_branches(slices, *args, refine_fn=refine_fn, **kwargs)
+
+    monkeypatch.setattr(spectra, "diagonalize_window", recorded)
+    monkeypatch.setattr(spectra, "track_branches", refined_once)
+    sym = models["product_example"].symbol
+    net, detail = cl.corner_spectral_flow(sym, PAIR, 8, n_t=8)
+    assert net == 1 and len(solved) == 9 and solved[-1] == 0.1
+    assert [t for t, _, _ in detail.samples] == sorted(solved)
+    assert all(w.shape == v.shape for _, v, w in detail.samples)
+    assert any(v.size for _, v, _ in detail.samples)
+    with pytest.raises(TypeError):
+        cl.corner_spectral_flow(sym, PAIR, 8, n_t=8, keep_samples=True)
 
 
 def test_merged_crossing_rows_ignore_branch_order():
@@ -738,7 +787,8 @@ def _rotating_pair(phase):
     states crossing 0 at t = pi/2 and 3pi/2 sit on one site each for
     phase = pi/2, and spread evenly over both for phase = 0.  Returns the
     slice solve of :func:`invariants._tracked_crossings`, window-solved at
-    0.5 as the corner flow solves its slices."""
+    0.5 as the corner flow solves its slices (two sites have no cluster to
+    sharpen)."""
     region = geometry.LatticeRegion([(0, 0), (1, 0)], 1)
     sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -746,7 +796,7 @@ def _rotating_pair(phase):
         for t in ts:
             h = np.cos(t) * (np.cos(t - phase) * sz + np.sin(t - phase) * sx)
             op = AssembledOperator(sp.csr_matrix(h.astype(complex)), region=region, t=t)
-            yield spectra.diagonalize_window(op, 0.5), op.matrix
+            yield spectra.diagonalize_window(op, 0.5)
 
     return solve
 
@@ -757,9 +807,10 @@ def _rotating_pair(phase):
 def test_tracked_crossings_count_attributed_states(mask, net):
     """The slice builder of both flows sums the directions of the crossings
     whose state sits on the mask: two down on site 0, two up on site 1."""
-    got, found = invariants._tracked_crossings(_rotating_pair(np.pi / 2), 8, 0.5, mask,
-                                               mask, 2.0)
+    got, found, samples = invariants._tracked_crossings(_rotating_pair(np.pi / 2), 8, 0.5,
+                                                        mask, 2.0)
     assert got == net and len(found) == 4
+    assert [t for t, _, _ in samples] == pytest.approx(sorted(invariants._offset_grid(8)))
 
 
 def test_tracked_crossings_refuse_a_state_split_across_the_mask(monkeypatch):
@@ -777,5 +828,5 @@ def test_tracked_crossings_refuse_a_state_split_across_the_mask(monkeypatch):
 
     monkeypatch.setattr(spectra, "crossings", seen)
     with pytest.raises(TrackingError, match="between 0.1 and 0.9"):
-        invariants._tracked_crossings(_rotating_pair(0.0), 8, 0.5, mask, mask, 2.0)
+        invariants._tracked_crossings(_rotating_pair(0.0), 8, 0.5, mask, 2.0)
     assert len(weights) == 4 and np.allclose(weights, 0.5)

@@ -288,16 +288,23 @@ def test_strip_windows_match_sylvester_inertia(monkeypatch, name):
     overlap passing ``OVERLAP_MIN``, every interval holding a windowed state
     is bisected until the flow refuses, so refinements are checked too."""
     sym, W, refine = _strip_window_cases()[name]
-    tracked, slices = cl.invariants._tracked_crossings, []
+    tracked, clears = cl.invariants._tracked_crossings, cl.invariants._clears
+    slices, verdicts = [], []
+
+    def kept_clears(*args):
+        verdicts.append(clears(*args))
+        return verdicts[-1]
 
     def kept_tracked(solve, n_t, window, *args):
         def kept_solve(ts):
-            for t, (sl, matrix) in zip(ts, solve(ts)):
-                slices.append((float(t), sl, matrix is None))
-                yield sl, matrix
+            # each slice is yielded right after its own clearance
+            for t, sl in zip(ts, solve(ts)):
+                slices.append((float(t), sl, verdicts[-1]))
+                yield sl
         slices.append(1.05 * window)
         return tracked(kept_solve, n_t, window, *args)
 
+    monkeypatch.setattr(cl.invariants, "_clears", kept_clears)
     monkeypatch.setattr(cl.invariants, "_tracked_crossings", kept_tracked)
     if refine:
         monkeypatch.setattr(cl.spectra, "OVERLAP_MIN", 1.01)

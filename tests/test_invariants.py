@@ -787,8 +787,8 @@ def _rotating_pair(phase):
     states crossing 0 at t = pi/2 and 3pi/2 sit on one site each for
     phase = pi/2, and spread evenly over both for phase = 0.  Returns the
     slice solve of :func:`invariants._tracked_crossings`, window-solved at
-    0.5 as the corner flow solves its slices (two sites have no cluster to
-    sharpen)."""
+    0.5 as the corner flow solves its slices; its eigenvalues +-cos t never
+    meet on the grid, so there is no cluster to sharpen."""
     region = geometry.LatticeRegion([(0, 0), (1, 0)], 1)
     sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
 
